@@ -1,11 +1,11 @@
 //! Concurrent-engine throughput: one fixed query batch served by 1, 2 and 4
-//! worker threads through the `RwLock`-partitioned SAE engine with a buffer
-//! pool under both parties. Without simulated I/O latency this measures pure
+//! worker threads through the single-pair (1-shard) `ShardedSaeEngine` with a
+//! buffer pool under both parties. Without simulated I/O latency this measures pure
 //! lock/CPU scaling; the `experiments -- throughput` table adds the
 //! overlappable per-query I/O latency.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use sae_core::{SaeEngine, ServeOptions};
+use sae_core::{ServeOptions, ShardedSaeEngine};
 use sae_crypto::HashAlgorithm;
 use sae_workload::{DatasetSpec, KeyDistribution, QueryMix};
 
@@ -13,7 +13,7 @@ const N: usize = 20_000;
 
 fn bench_throughput(c: &mut Criterion) {
     let dataset = DatasetSpec::paper(N, KeyDistribution::unf(), 8).generate();
-    let engine = SaeEngine::build_cached(&dataset, HashAlgorithm::Sha1, 512).unwrap();
+    let engine = ShardedSaeEngine::build_cached(&dataset, HashAlgorithm::Sha1, 1, 512).unwrap();
     let queries = QueryMix::uniform(KeyDistribution::unf().domain(), 0.002)
         .workload(64, 42)
         .queries;

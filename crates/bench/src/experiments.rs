@@ -1,8 +1,8 @@
 //! Experiment drivers: build SAE and TOM side by side and measure them.
 
 use sae_core::{
-    DurabilityPolicy, QueryMetrics, SaeEngine, SaeSystem, ServeOptions, ShardedSaeEngine,
-    ShardedVerifyError, StorageBreakdown, TomSystem,
+    DurabilityPolicy, QueryMetrics, SaeSystem, ServeOptions, ShardedSaeEngine, ShardedVerifyError,
+    StorageBreakdown, TomSystem,
 };
 use sae_crypto::signer::{Signer, Verifier};
 use sae_crypto::{HashAlgorithm, MacSigner, RsaSigner};
@@ -477,8 +477,9 @@ pub struct ThroughputRow {
     pub sp_cache_hit_rate: f64,
 }
 
-/// Experiment E8: closed-loop throughput of the concurrent SAE engine as the
-/// number of serving threads grows. Every sweep point replays the *same*
+/// Experiment E8: closed-loop throughput of the concurrent SAE engine (one
+/// shard: the paper's single SP/TE pair) as the number of serving threads
+/// grows. Every sweep point replays the *same*
 /// fixed workload, so `speedup` isolates the effect of concurrency.
 pub fn run_throughput(config: &ThroughputConfig) -> Vec<ThroughputRow> {
     let dataset = DatasetSpec {
@@ -488,8 +489,9 @@ pub fn run_throughput(config: &ThroughputConfig) -> Vec<ThroughputRow> {
         seed: config.seed,
     }
     .generate();
-    let engine = SaeEngine::build_cached(&dataset, HashAlgorithm::Sha1, config.cache_pages)
-        .expect("build engine");
+    let engine =
+        ShardedSaeEngine::build_cached(&dataset, HashAlgorithm::Sha1, 1, config.cache_pages)
+            .expect("build engine");
     let domain = KeyDistribution::unf().domain();
     let mix = if config.zipf_placement {
         QueryMix::zipf(domain, config.query_extent, paper::ZIPF_THETA)
@@ -571,7 +573,7 @@ pub struct ShardedThroughputConfig {
     /// Query extent as a fraction of the key domain.
     pub query_extent: f64,
     /// Simulated I/O hold per *write*, in microseconds, slept inside the
-    /// write critical section (see `sae_core::engine::UpdateService`);
+    /// write critical section (see `ShardedSaeEngine::apply_update`);
     /// queries run at memory speed.
     pub io_micros_per_op: u64,
     /// Buffer-pool capacity in pages per shard and party.

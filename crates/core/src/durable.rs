@@ -1,5 +1,5 @@
-//! The durable storage layer under [`crate::sae::SaeSystem`] and
-//! [`crate::sharded::ShardedSaeEngine`].
+//! The durable storage layer under [`crate::sharded::ShardedSaeEngine`], the
+//! one engine that can run file-backed (with `n ≥ 1` shards).
 //!
 //! A durable deployment lives in one directory:
 //!
@@ -834,11 +834,6 @@ impl Durability {
         ))
     }
 
-    /// Number of shards the directory holds.
-    pub(crate) fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The fixed record length the manifest records.
     pub(crate) fn record_size(&self) -> usize {
         lock_unpoisoned(&self.mstate).manifest.record_size as usize
@@ -940,9 +935,8 @@ impl Durability {
 
     /// Blocks until a commit covering `ticket` is durable, electing this
     /// caller as the batch leader when no commit is in flight. `commit` must
-    /// acquire the shard's read locks and run the prepare/finish pair (or
-    /// [`Durability::commit_write`]); it is invoked at most once per
-    /// leadership stint.
+    /// acquire the shard's read locks and run the prepare/finish pair; it is
+    /// invoked at most once per leadership stint.
     ///
     /// Non-`Group` policies skip the queue entirely: every writer runs its
     /// *own* commit — its own log append and its own acknowledgement fsync,
@@ -1041,20 +1035,6 @@ impl Durability {
         te: &TrustedEntity,
     ) -> StorageResult<()> {
         let prepared = self.prepare_commit(i, sp, te, true)?;
-        self.finish_commit(prepared)
-    }
-
-    /// Commits shard `i`'s current state on the write path: log append plus
-    /// one log fsync, checkpointing only when the log has grown past the
-    /// threshold. What the per-update funnel
-    /// (`announce`/`wait_durable`) runs under every policy.
-    pub(crate) fn commit_write(
-        &self,
-        i: usize,
-        sp: &SaeServiceProvider,
-        te: &TrustedEntity,
-    ) -> StorageResult<()> {
-        let prepared = self.prepare_commit(i, sp, te, false)?;
         self.finish_commit(prepared)
     }
 

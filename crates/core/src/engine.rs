@@ -1,23 +1,19 @@
-//! A concurrent, multi-client serving layer over the SAE and TOM deployments.
+//! The thread-pooled drivers that serve many clients at once.
 //!
-//! [`SaeSystem`]/[`TomSystem`] answer one query at a time through `&self`
-//! paths; this module turns them into engines that serve many clients at
-//! once:
+//! The concurrent engine is [`ShardedSaeEngine`]: with `n = 1` it is the
+//! paper's single SP/TE pair, each party behind its own `RwLock` (queries
+//! share the read locks, data-owner updates take both write locks, always
+//! SP before TE, and therefore appear atomic to every reader). This module
+//! drives any [`QueryService`] from a pool of worker threads:
 //!
-//! * **Partitioned locking.** Under SAE the service provider and the trusted
-//!   entity are separate machines, so [`SaeEngine`] puts each party behind its
-//!   own `RwLock`: any number of queries share the read locks while data-owner
-//!   updates take both write locks (always SP before TE — the single global
-//!   lock order) and therefore appear atomic to every reader.
-//! * **Thread-pooled drivers.** [`serve_batch`] fans a fixed workload out over
-//!   N worker threads; [`serve_mix`] runs a closed loop in which every worker
-//!   plays one client replaying its own deterministic
-//!   [`QueryMix`] stream. Both aggregate per-thread
-//!   [`QueryMetrics`] and wall-clock latencies into a [`ThroughputReport`]
-//!   (p50/p95/p99 latency, queries per second).
-//! * **Buffer pooling.** [`SaeEngine::build_cached`] wires a
-//!   [`CachedPager`] under both parties so hot index pages are served from
-//!   memory instead of hitting the backing store on every traversal.
+//! * [`serve_batch`] fans a fixed workload out over N worker threads;
+//! * [`serve_mix`] runs a closed loop in which every worker plays one client
+//!   replaying its own deterministic [`QueryMix`] stream;
+//! * [`serve_ops`] mixes queries with data-owner writes against a
+//!   [`ShardedSaeEngine`].
+//!
+//! All three aggregate per-thread [`QueryMetrics`] and wall-clock latencies
+//! into a [`ThroughputReport`] (p50/p95/p99 latency, queries per second).
 //!
 //! ## Cost accounting under concurrency
 //!
@@ -37,21 +33,11 @@
 //! exactly what the paper's 10 ms/node-access model simulates.
 
 use crate::metrics::{LatencySummary, QueryMetrics};
-use crate::sae::{
-    delete_from_parties, insert_into_parties, SaeClient, SaeServiceProvider, SaeSystem,
-    TrustedEntity,
-};
-use crate::tom::TomSystem;
-use parking_lot::RwLock;
+use crate::sharded::ShardedSaeEngine;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sae_crypto::signer::{Signer, Verifier};
-use sae_crypto::{HashAlgorithm, DIGEST_LEN};
-use sae_storage::{
-    CachedPager, CostModel, IoSnapshot, IoStats, MemPager, PageStore, SharedPageStore,
-    StorageResult,
-};
-use sae_workload::{Dataset, QueryMix, RangeQuery, Record};
+use sae_storage::{CostModel, IoSnapshot, IoStats, StorageResult};
+use sae_workload::{QueryMix, RangeQuery, Record};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -73,20 +59,6 @@ pub trait QueryService: Send + Sync {
     fn cost_model(&self) -> CostModel {
         CostModel::paper()
     }
-}
-
-/// A [`QueryService`] that also accepts data-owner updates, so the mixed
-/// read/write driver ([`serve_ops`]) can run against it. Implemented by both
-/// the single-pair [`SaeEngine`] and the sharded
-/// [`ShardedSaeEngine`](crate::sharded::ShardedSaeEngine), which is exactly
-/// what lets one driver path compare their write scaling.
-pub trait UpdateService: QueryService {
-    /// Applies one insert-then-delete round trip of `record`, atomically with
-    /// respect to concurrent queries. `hold` is slept *inside* the write
-    /// critical section, simulating the I/O a real write performs while the
-    /// affected key range is locked — this is the serialization that sharding
-    /// is supposed to break up.
-    fn apply_update(&self, record: &Record, hold: Duration) -> StorageResult<()>;
 }
 
 /// Options for the concurrent drivers.
@@ -204,7 +176,7 @@ pub enum MixOp {
     /// An authenticated range query, executed through [`QueryService`].
     Query(RangeQuery),
     /// A data-owner write: the record is inserted and then deleted again
-    /// through [`UpdateService::apply_update`], so the dataset's cardinality
+    /// through [`ShardedSaeEngine::apply_update`], so the dataset's cardinality
     /// is unchanged after the batch.
     Update(Record),
 }
@@ -238,11 +210,7 @@ pub fn client_ops(
         .collect()
 }
 
-fn run_ops_worker<S: UpdateService + ?Sized>(
-    service: &S,
-    ops: &[MixOp],
-    io_sleep: Duration,
-) -> WorkerOutcome {
+fn run_ops_worker(service: &ShardedSaeEngine, ops: &[MixOp], io_sleep: Duration) -> WorkerOutcome {
     let mut latencies = Vec::with_capacity(ops.len());
     let mut totals = QueryMetrics {
         verified: true,
@@ -268,7 +236,7 @@ fn run_ops_worker<S: UpdateService + ?Sized>(
             MixOp::Update(record) => {
                 // Write I/O is *not* overlappable within a key range: the
                 // sleep happens inside the write critical section (see
-                // UpdateService::apply_update), modelling the durable write
+                // ShardedSaeEngine::apply_update), modelling the durable write
                 // a real deployment performs while the key range is locked.
                 if service.apply_update(record, io_sleep).is_err() {
                     failed += 1;
@@ -412,14 +380,14 @@ pub fn serve_mix<S: QueryService + ?Sized>(
 
 /// Closed-loop mixed read/write driver: every worker plays one client
 /// replaying its own deterministic [`client_ops`] stream — queries through
-/// [`QueryService::execute`], writes through [`UpdateService::apply_update`].
-/// `ThroughputReport::queries` counts *operations* here, and
-/// `opts.io_micros_per_query` is the per-*write* I/O hold, slept inside the
-/// write critical section; queries run at memory speed (their I/O is
-/// buffer-pooled and overlappable, so it is not what a read/write mix
-/// contends on).
-pub fn serve_ops<S: UpdateService + ?Sized>(
-    service: &S,
+/// [`QueryService::execute`], writes through
+/// [`ShardedSaeEngine::apply_update`]. `ThroughputReport::queries` counts
+/// *operations* here, and `opts.io_micros_per_query` is the per-*write* I/O
+/// hold, slept inside the write critical section; queries run at memory
+/// speed (their I/O is buffer-pooled and overlappable, so it is not what a
+/// read/write mix contends on).
+pub fn serve_ops(
+    service: &ShardedSaeEngine,
     mix: &QueryMix,
     write_fraction: f64,
     record_size: usize,
@@ -446,245 +414,12 @@ pub fn serve_ops<S: UpdateService + ?Sized>(
     })
 }
 
-/// The SAE deployment behind independently lockable parties.
-///
-/// Lock order is **SP before TE** everywhere. Queries hold the SP read lock
-/// across the TE read so each query sees one consistent deployment state
-/// (updates take both write locks, so a reader that acquired the SP lock
-/// first is guaranteed the TE has not advanced past it).
-pub struct SaeEngine {
-    sp: RwLock<SaeServiceProvider>,
-    te: RwLock<TrustedEntity>,
-    client: SaeClient,
-    cost_model: CostModel,
-    sp_stats: Arc<IoStats>,
-    te_stats: Arc<IoStats>,
-    sp_cache: Option<Arc<CachedPager>>,
-    te_cache: Option<Arc<CachedPager>>,
-}
-
-impl SaeEngine {
-    /// Wraps an existing deployment's parties in locks.
-    pub fn from_system(system: SaeSystem) -> SaeEngine {
-        let cost_model = system.cost_model();
-        let (sp, te, client) = system.into_parts();
-        let sp_stats = sp.store().stats();
-        let te_stats = te.store().stats();
-        SaeEngine {
-            sp: RwLock::new(sp),
-            te: RwLock::new(te),
-            client,
-            cost_model,
-            sp_stats,
-            te_stats,
-            sp_cache: None,
-            te_cache: None,
-        }
-    }
-
-    /// Builds a fresh in-memory deployment with a [`CachedPager`] of
-    /// `cache_pages` pages wired under **each** party, so hot index pages are
-    /// served from the buffer pool.
-    pub fn build_cached(
-        dataset: &Dataset,
-        alg: HashAlgorithm,
-        cache_pages: usize,
-    ) -> StorageResult<SaeEngine> {
-        let sp_cache = Arc::new(CachedPager::new(MemPager::new_shared(), cache_pages));
-        let te_cache = Arc::new(CachedPager::new(MemPager::new_shared(), cache_pages));
-        let system = SaeSystem::build(
-            Arc::clone(&sp_cache) as SharedPageStore,
-            Arc::clone(&te_cache) as SharedPageStore,
-            dataset,
-            alg,
-            CostModel::paper(),
-            crate::sae::TeMode::XbTree,
-        )?;
-        let mut engine = SaeEngine::from_system(system);
-        engine.sp_cache = Some(sp_cache);
-        engine.te_cache = Some(te_cache);
-        Ok(engine)
-    }
-
-    /// Builds a fresh in-memory deployment without a buffer pool.
-    pub fn build_in_memory(dataset: &Dataset, alg: HashAlgorithm) -> StorageResult<SaeEngine> {
-        Ok(SaeEngine::from_system(SaeSystem::build_in_memory(
-            dataset, alg,
-        )?))
-    }
-
-    /// Propagates a data-owner insertion to both parties, atomically with
-    /// respect to concurrent queries; a TE failure rolls the SP insertion
-    /// back so the parties never diverge.
-    pub fn insert(&self, record: &Record) -> StorageResult<()> {
-        let mut sp = self.sp.write();
-        let mut te = self.te.write();
-        insert_into_parties(&mut sp, &mut te, record)
-    }
-
-    /// Propagates a data-owner deletion to both parties, atomically with
-    /// respect to concurrent queries; one-sided deletions are rolled back and
-    /// reported as [`sae_storage::StorageError::Desync`].
-    pub fn delete(&self, id: u64, key: u32) -> StorageResult<bool> {
-        let mut sp = self.sp.write();
-        let mut te = self.te.write();
-        delete_from_parties(&mut sp, &mut te, id, key)
-    }
-
-    /// Buffer-pool counters of the SP, when built with a cache.
-    pub fn sp_cache_stats(&self) -> Option<IoSnapshot> {
-        self.sp_cache.as_ref().map(|c| c.stats().snapshot())
-    }
-
-    /// Buffer-pool counters of the TE, when built with a cache.
-    pub fn te_cache_stats(&self) -> Option<IoSnapshot> {
-        self.te_cache.as_ref().map(|c| c.stats().snapshot())
-    }
-
-    /// Serves a fixed batch (see [`serve_batch`]).
-    pub fn serve_batch(&self, queries: &[RangeQuery], opts: &ServeOptions) -> ThroughputReport {
-        serve_batch(self, queries, opts)
-    }
-
-    /// Runs the closed-loop per-client driver (see [`serve_mix`]).
-    pub fn serve_mix(
-        &self,
-        mix: &QueryMix,
-        queries_per_client: usize,
-        seed: u64,
-        opts: &ServeOptions,
-    ) -> ThroughputReport {
-        serve_mix(self, mix, queries_per_client, seed, opts)
-    }
-
-    /// Runs the closed-loop mixed read/write driver (see [`serve_ops`]).
-    pub fn serve_ops(
-        &self,
-        mix: &QueryMix,
-        write_fraction: f64,
-        record_size: usize,
-        ops_per_client: usize,
-        seed: u64,
-        opts: &ServeOptions,
-    ) -> ThroughputReport {
-        serve_ops(
-            self,
-            mix,
-            write_fraction,
-            record_size,
-            ops_per_client,
-            seed,
-            opts,
-        )
-    }
-}
-
-impl UpdateService for SaeEngine {
-    fn apply_update(&self, record: &Record, hold: Duration) -> StorageResult<()> {
-        let mut sp = self.sp.write();
-        let mut te = self.te.write();
-        crate::sae::update_parties(&mut sp, &mut te, record, hold)
-    }
-}
-
-impl QueryService for SaeEngine {
-    fn execute(&self, q: &RangeQuery) -> StorageResult<QueryMetrics> {
-        // SP read lock held across the TE read: see the lock-order note on
-        // the struct.
-        let sp = self.sp.read();
-        let records = sp.query(q)?;
-        let vt = self.te.read().generate_vt(q)?;
-        drop(sp);
-        let (verified, client_ms) = self.client.verify(q, &records, &vt);
-        Ok(QueryMetrics {
-            result_cardinality: records.len() as u64,
-            auth_bytes: DIGEST_LEN as u64,
-            client_verify_ms: client_ms,
-            verified,
-            ..Default::default()
-        })
-    }
-
-    fn party_stats(&self) -> Vec<(&'static str, Arc<IoStats>)> {
-        vec![
-            ("sp", Arc::clone(&self.sp_stats)),
-            ("te", Arc::clone(&self.te_stats)),
-        ]
-    }
-
-    fn cost_model(&self) -> CostModel {
-        self.cost_model
-    }
-}
-
-/// The TOM deployment behind one lock (TOM has a single server-side party).
-pub struct TomEngine<S: Signer + Send + Sync, V: Verifier + Send + Sync> {
-    system: RwLock<TomSystem<S, V>>,
-    stats: Arc<IoStats>,
-}
-
-impl<S: Signer + Send + Sync, V: Verifier + Send + Sync> TomEngine<S, V> {
-    /// Wraps an existing TOM deployment.
-    pub fn from_system(system: TomSystem<S, V>) -> TomEngine<S, V> {
-        let stats = system.store_stats();
-        TomEngine {
-            system: RwLock::new(system),
-            stats,
-        }
-    }
-
-    /// Propagates a data-owner insertion (re-signs the root).
-    pub fn insert(&self, record: &Record) -> StorageResult<()> {
-        self.system.write().insert_record(record)
-    }
-
-    /// Propagates a data-owner deletion (re-signs the root).
-    pub fn delete(&self, id: u64, key: u32) -> StorageResult<bool> {
-        self.system.write().delete_record(id, key)
-    }
-
-    /// Serves a fixed batch (see [`serve_batch`]).
-    pub fn serve_batch(&self, queries: &[RangeQuery], opts: &ServeOptions) -> ThroughputReport {
-        serve_batch(self, queries, opts)
-    }
-
-    /// Runs the closed-loop per-client driver (see [`serve_mix`]).
-    pub fn serve_mix(
-        &self,
-        mix: &QueryMix,
-        queries_per_client: usize,
-        seed: u64,
-        opts: &ServeOptions,
-    ) -> ThroughputReport {
-        serve_mix(self, mix, queries_per_client, seed, opts)
-    }
-}
-
-impl<S: Signer + Send + Sync, V: Verifier + Send + Sync> QueryService for TomEngine<S, V> {
-    fn execute(&self, q: &RangeQuery) -> StorageResult<QueryMetrics> {
-        let outcome = self.system.read().query(q)?;
-        Ok(QueryMetrics {
-            // Zero the delta-derived fields: they were measured against the
-            // shared counters and are not attributable under concurrency.
-            sp_node_accesses: 0,
-            sp_charged_ms: 0.0,
-            te_node_accesses: 0,
-            te_charged_ms: 0.0,
-            ..outcome.metrics
-        })
-    }
-
-    fn party_stats(&self) -> Vec<(&'static str, Arc<IoStats>)> {
-        vec![("sp", Arc::clone(&self.stats))]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sae_crypto::MacSigner;
-    use sae_storage::StorageError;
-    use sae_workload::{DatasetSpec, KeyDistribution};
+    use crate::sae::SaeSystem;
+    use sae_crypto::HashAlgorithm;
+    use sae_workload::{Dataset, DatasetSpec, KeyDistribution};
 
     fn dataset(n: usize) -> Dataset {
         DatasetSpec {
@@ -694,6 +429,11 @@ mod tests {
             seed: 5,
         }
         .generate()
+    }
+
+    /// The paper's single SP/TE pair as a concurrent engine.
+    fn single_pair(ds: &Dataset) -> ShardedSaeEngine {
+        ShardedSaeEngine::build_in_memory(ds, HashAlgorithm::Sha1, 1).unwrap()
     }
 
     fn opts(threads: usize) -> ServeOptions {
@@ -706,14 +446,13 @@ mod tests {
     #[test]
     fn engines_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
-        assert_send_sync::<SaeEngine>();
-        assert_send_sync::<TomEngine<MacSigner, MacSigner>>();
+        assert_send_sync::<ShardedSaeEngine>();
     }
 
     #[test]
     fn concurrent_batches_verify_and_count_everything() {
         let ds = dataset(4_000);
-        let engine = SaeEngine::build_in_memory(&ds, HashAlgorithm::Sha1).unwrap();
+        let engine = single_pair(&ds);
         let queries = QueryMix::uniform(100_000, 0.01).workload(64, 3).queries;
         let report = engine.serve_batch(&queries, &opts(4));
         assert_eq!(report.queries, 64);
@@ -738,7 +477,7 @@ mod tests {
     fn concurrent_results_match_the_sequential_system() {
         let ds = dataset(2_000);
         let system = SaeSystem::build_in_memory(&ds, HashAlgorithm::Sha1).unwrap();
-        let engine = SaeEngine::build_in_memory(&ds, HashAlgorithm::Sha1).unwrap();
+        let engine = single_pair(&ds);
         for q in QueryMix::uniform(100_000, 0.02).workload(10, 9).iter() {
             let sequential = system.query(q).unwrap();
             let concurrent = engine.execute(q).unwrap();
@@ -753,8 +492,8 @@ mod tests {
     #[test]
     fn cached_engine_serves_identical_results_with_buffer_pool_hits() {
         let ds = dataset(3_000);
-        let plain = SaeEngine::build_in_memory(&ds, HashAlgorithm::Sha1).unwrap();
-        let cached = SaeEngine::build_cached(&ds, HashAlgorithm::Sha1, 256).unwrap();
+        let plain = single_pair(&ds);
+        let cached = ShardedSaeEngine::build_cached(&ds, HashAlgorithm::Sha1, 1, 256).unwrap();
         let queries = QueryMix::zipf(100_000, 0.01, 0.8).workload(40, 17).queries;
 
         let a = plain.serve_batch(&queries, &opts(2));
@@ -766,17 +505,16 @@ mod tests {
             a.totals.sp_node_accesses + a.totals.te_node_accesses,
             b.totals.sp_node_accesses + b.totals.te_node_accesses
         );
-        // ...while repeated traversals hit the pool.
-        let sp = cached.sp_cache_stats().unwrap();
-        assert!(sp.cache_hits > 0, "{sp:?}");
-        let te = cached.te_cache_stats().unwrap();
-        assert!(te.cache_hits > 0, "{te:?}");
+        // ...while repeated traversals hit the pool under both parties.
+        for party in &b.party_io {
+            assert!(party.delta.cache_hits > 0, "{party:?}");
+        }
     }
 
     #[test]
     fn closed_loop_mix_driver_runs_distinct_client_streams() {
         let ds = dataset(2_000);
-        let engine = SaeEngine::build_cached(&ds, HashAlgorithm::Sha1, 128).unwrap();
+        let engine = ShardedSaeEngine::build_cached(&ds, HashAlgorithm::Sha1, 1, 128).unwrap();
         let mix = QueryMix::uniform(100_000, 0.005);
         let report = engine.serve_mix(&mix, 12, 77, &opts(3));
         assert_eq!(report.queries, 36);
@@ -792,19 +530,17 @@ mod tests {
     #[test]
     fn updates_are_atomic_under_concurrent_queries() {
         let ds = dataset(2_000);
-        let engine = Arc::new(SaeEngine::build_in_memory(&ds, HashAlgorithm::Sha1).unwrap());
-        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        let engine = single_pair(&ds);
+        let stop = std::sync::atomic::AtomicBool::new(false);
 
         std::thread::scope(|scope| {
             // A writer inserting and deleting fresh records in a loop.
-            let writer_engine = Arc::clone(&engine);
-            let writer_stop = Arc::clone(&stop);
-            scope.spawn(move || {
+            scope.spawn(|| {
                 let mut i = 0u64;
-                while !writer_stop.load(std::sync::atomic::Ordering::Relaxed) {
+                while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                     let r = Record::with_size(5_000_000 + i, (i % 100_000) as u32, 120);
-                    writer_engine.insert(&r).unwrap();
-                    assert!(writer_engine.delete(r.id, r.key).unwrap());
+                    engine.insert(&r).unwrap();
+                    assert!(engine.delete(r.id, r.key).unwrap());
                     i += 1;
                 }
             });
@@ -822,43 +558,9 @@ mod tests {
     }
 
     #[test]
-    fn engine_delete_reports_desync_like_the_system() {
-        let ds = dataset(500);
-        let mut system = SaeSystem::build_in_memory(&ds, HashAlgorithm::Sha1).unwrap();
-        let victim = ds.records[3].clone();
-        assert!(system.te_mut().delete(victim.id, victim.key).unwrap());
-        let engine = SaeEngine::from_system(system);
-        assert!(matches!(
-            engine.delete(victim.id, victim.key),
-            Err(StorageError::Desync(_))
-        ));
-        // Rolled back: the record is still served.
-        let q = RangeQuery::new(victim.key, victim.key);
-        let metrics = engine.execute(&q).unwrap();
-        assert!(metrics.result_cardinality >= 1);
-    }
-
-    #[test]
-    fn tom_engine_serves_concurrent_verified_batches() {
-        let ds = dataset(2_000);
-        let signer = MacSigner::new(b"do-key".to_vec());
-        let system =
-            TomSystem::build_in_memory(&ds, HashAlgorithm::Sha1, signer.clone(), signer).unwrap();
-        let engine = TomEngine::from_system(system);
-        let queries = QueryMix::uniform(100_000, 0.01).workload(32, 13).queries;
-        let report = engine.serve_batch(&queries, &opts(4));
-        assert_eq!(report.queries, 32);
-        assert!(report.all_verified);
-        assert_eq!(report.party_io.len(), 1);
-        assert!(report.totals.sp_node_accesses > 0);
-        // The VO travels with every result.
-        assert!(report.totals.auth_bytes > 32 * 20);
-    }
-
-    #[test]
     fn simulated_io_latency_is_overlapped_by_threads() {
         let ds = dataset(800);
-        let engine = SaeEngine::build_in_memory(&ds, HashAlgorithm::Sha1).unwrap();
+        let engine = single_pair(&ds);
         let queries = QueryMix::uniform(100_000, 0.002).workload(48, 23).queries;
         let serve = |threads: usize| {
             engine

@@ -16,23 +16,23 @@
 //! ## What the crate provides
 //!
 //! * [`sae::SaeSystem`] and [`tom::TomSystem`] — complete, queryable
-//!   deployments of each model over any [`sae_storage::PageStore`];
+//!   sequential deployments of each model over any
+//!   [`sae_storage::PageStore`]: the reference models the figures use;
 //! * [`tamper::TamperStrategy`] — malicious-SP behaviours (drop / inject /
 //!   modify / substitute results) used to exercise the security argument;
 //! * [`metrics::QueryMetrics`] — per-query cost accounting in exactly the
 //!   units the paper's figures use (authentication bytes, charged
 //!   node-access milliseconds per party, client verification time);
-//! * [`engine::SaeEngine`]/[`engine::TomEngine`] — the concurrent serving
-//!   layer: `RwLock`-partitioned parties, thread-pooled batch/closed-loop
-//!   drivers with p50/p99 latency and queries/sec aggregation, and optional
-//!   buffer pooling under both parties;
-//! * [`sharded::ShardedSaeEngine`] — the key-range sharded deployment: `N`
-//!   independent SP/TE pairs behind per-shard lock pairs, routed writes,
-//!   and scatter-gather range queries whose per-shard slices the client
-//!   stitches back together soundly (a dropped shard slice or a record
-//!   smuggled across a shard boundary is a detected tamper);
-//! * [`durable`] — the durable serving path: `SaeSystem::create_dir` /
-//!   `ShardedSaeEngine::create_dir` give every shard its own
+//! * [`sharded::ShardedSaeEngine`] — the one concurrent engine: `N ≥ 1`
+//!   independent SP/TE pairs behind per-shard lock pairs (one shard is the
+//!   paper's single pair), optional buffer pooling under both parties,
+//!   routed writes, and scatter-gather range queries whose per-shard slices
+//!   the client stitches back together soundly (a dropped shard slice or a
+//!   record smuggled across a shard boundary is a detected tamper);
+//! * [`engine`] — thread-pooled batch, closed-loop and read/write drivers
+//!   with p50/p99 latency and queries/sec aggregation;
+//! * [`durable`] — the durable serving path:
+//!   `ShardedSaeEngine::create_dir` gives every shard its own
 //!   `sp-<i>.pages`/`te-<i>.pages` [`sae_storage::FilePager`] pair under a
 //!   checksummed `MANIFEST`, commit every accepted update in pages-before-
 //!   manifest order, and `open_dir` reopens the trees from their committed
@@ -56,8 +56,8 @@ pub mod tom;
 
 pub use durable::{CommitCrashPoint, DurabilityPolicy};
 pub use engine::{
-    client_ops, serve_batch, serve_mix, serve_ops, MixOp, QueryService, SaeEngine, ServeOptions,
-    ThroughputReport, TomEngine, UpdateService,
+    client_ops, serve_batch, serve_mix, serve_ops, MixOp, QueryService, ServeOptions,
+    ThroughputReport,
 };
 pub use metrics::{LatencySummary, QueryMetrics, StorageBreakdown};
 pub use replica::{ReplicaSet, SnapshotHeader, SNAPSHOT_HEADER_LEN, SNAPSHOT_MAGIC};

@@ -9,7 +9,6 @@
 //! records it received from the SP, XORs the digests and compares against the
 //! VT (§II).
 
-use crate::durable::{Durability, DurabilityPolicy};
 use crate::metrics::{QueryMetrics, StorageBreakdown};
 use crate::tamper::TamperStrategy;
 use sae_btree::BPlusTree;
@@ -21,7 +20,6 @@ use sae_storage::{
 use sae_workload::{Dataset, RangeQuery, Record, RecordKey, TeTuple};
 use sae_xbtree::{TupleStore, XbTree};
 use std::collections::{HashMap, HashSet};
-use std::path::Path;
 use std::time::Instant;
 
 /// Reads the `(id, key)` header of an encoded record in place, without
@@ -530,17 +528,16 @@ pub struct SaeQueryOutcome {
     pub metrics: QueryMetrics,
 }
 
-/// A complete SAE deployment over in-memory or file-backed page stores.
+/// The paper's single SP/TE pair as a sequential reference model, over
+/// in-memory or explicit (e.g. file-backed) page stores. The figures drive
+/// it one query at a time and the tests compare against it; the concurrent
+/// and durable engine is [`crate::sharded::ShardedSaeEngine`].
 pub struct SaeSystem {
     sp: SaeServiceProvider,
     te: TrustedEntity,
     client: SaeClient,
     alg: HashAlgorithm,
     cost_model: CostModel,
-    /// The durable backing when the deployment was created with
-    /// [`SaeSystem::create_dir`] / reopened with [`SaeSystem::open_dir`];
-    /// `None` for in-memory deployments.
-    durability: Option<Durability>,
 }
 
 impl SaeSystem {
@@ -573,163 +570,7 @@ impl SaeSystem {
             client: SaeClient::with_record_len(alg, dataset.spec.record_size),
             alg,
             cost_model,
-            durability: None,
         })
-    }
-
-    /// Creates a *durable* deployment in `dir`: the SP lives in
-    /// `sp-0.pages`, the TE in `te-0.pages` (each optionally behind a
-    /// write-back [`sae_storage::CachedPager`] of `cache_pages` pages), and
-    /// a `MANIFEST` records the committed roots. Every accepted data-owner
-    /// update is flushed and synced in commit order — pages before manifest
-    /// — so the deployment survives a restart via [`SaeSystem::open_dir`].
-    pub fn create_dir(
-        dir: &Path,
-        dataset: &Dataset,
-        alg: HashAlgorithm,
-        cache_pages: Option<usize>,
-    ) -> StorageResult<Self> {
-        Self::create_dir_with(dir, dataset, alg, cache_pages, DurabilityPolicy::Immediate)
-    }
-
-    /// Like [`SaeSystem::create_dir`], with an explicit [`DurabilityPolicy`]
-    /// governing when accepted updates commit: per update (`Immediate`),
-    /// batched (`Group` — with `&mut self` access there is no concurrent
-    /// batch to join, so each update commits on its own ticket), or only at
-    /// `flush()`/`close()` (`FlushOnClose`, for bulk loads).
-    pub fn create_dir_with(
-        dir: &Path,
-        dataset: &Dataset,
-        alg: HashAlgorithm,
-        cache_pages: Option<usize>,
-        policy: DurabilityPolicy,
-    ) -> StorageResult<Self> {
-        let durability = Durability::create(
-            dir,
-            &[dataset.spec.distribution.domain()],
-            dataset.spec.record_size,
-            cache_pages,
-            policy,
-        )?;
-        let stores = durability.stores(0);
-        let sp = SaeServiceProvider::build(stores.sp_store, dataset)?;
-        let te = TrustedEntity::build(stores.te_store, dataset, alg, TeMode::XbTree)?;
-        durability.commit_shard(0, &sp, &te)?;
-        Ok(SaeSystem {
-            sp,
-            te,
-            client: SaeClient::with_record_len(alg, dataset.spec.record_size),
-            alg,
-            cost_model: CostModel::paper(),
-            durability: Some(durability),
-        })
-    }
-
-    /// Reopens a deployment created by [`SaeSystem::create_dir`] from its
-    /// committed roots — the trees are *not* rebuilt from the dataset. Torn
-    /// or garbage manifests, swapped shard files, epoch mismatches
-    /// ([`StorageError::StaleManifest`]) and a TE that no longer folds to
-    /// its published digest are all rejected with typed errors.
-    pub fn open_dir(
-        dir: &Path,
-        alg: HashAlgorithm,
-        cache_pages: Option<usize>,
-    ) -> StorageResult<Self> {
-        Self::open_dir_with(dir, alg, cache_pages, DurabilityPolicy::Immediate)
-    }
-
-    /// Like [`SaeSystem::open_dir`], with an explicit [`DurabilityPolicy`]
-    /// for the reopened deployment's future commits.
-    pub fn open_dir_with(
-        dir: &Path,
-        alg: HashAlgorithm,
-        cache_pages: Option<usize>,
-        policy: DurabilityPolicy,
-    ) -> StorageResult<Self> {
-        let (durability, mut recovered) = Durability::open(dir, cache_pages, policy)?;
-        if durability.shard_count() != 1 {
-            return Err(StorageError::Corrupted(format!(
-                "deployment has {} shards; reopen it with ShardedSaeEngine::open_dir",
-                durability.shard_count()
-            )));
-        }
-        let record_size = durability.record_size();
-        let shard = recovered.remove(0);
-        let stores = durability.stores(0);
-        let sp = SaeServiceProvider::open(
-            stores.sp_store,
-            record_size,
-            shard.meta.heap_record_count,
-            shard.heap_pages,
-            shard.meta.sp_index,
-        )?;
-        let te = TrustedEntity::open(
-            stores.te_store,
-            shard.meta.te_tree,
-            alg,
-            Durability::digest_of(&shard.meta),
-        )?;
-        Ok(SaeSystem {
-            sp,
-            te,
-            client: SaeClient::with_record_len(alg, record_size),
-            alg,
-            cost_model: CostModel::paper(),
-            durability: Some(durability),
-        })
-    }
-
-    /// Whether this deployment is backed by durable files.
-    pub fn is_durable(&self) -> bool {
-        self.durability.is_some()
-    }
-
-    /// The durability policy of a durable deployment; `None` in memory.
-    pub fn durability_policy(&self) -> Option<DurabilityPolicy> {
-        self.durability.as_ref().map(|d| d.policy())
-    }
-
-    /// Commits the current state through the policy-appropriate path after
-    /// an accepted update: nothing under `FlushOnClose`, otherwise a
-    /// ticketed write-ahead-log commit — append plus one log fsync,
-    /// checkpointing only when the log is past its threshold. `Immediate`
-    /// and `Group` share the funnel; with exclusive `&mut self` access this
-    /// caller is always its own leader, so batches are singletons either
-    /// way.
-    fn commit_update(&self) -> Option<StorageResult<()>> {
-        let d = self.durability.as_ref()?;
-        Some(match d.policy() {
-            DurabilityPolicy::FlushOnClose => Ok(()),
-            _ => {
-                let ticket = d.announce(0);
-                d.wait_durable(0, ticket, || d.commit_write(0, &self.sp, &self.te))
-            }
-        })
-    }
-
-    /// Commits the current state to disk with a forced checkpoint (no-op
-    /// for in-memory deployments).
-    pub fn flush(&self) -> StorageResult<()> {
-        match &self.durability {
-            Some(d) => d.commit_shard(0, &self.sp, &self.te),
-            None => Ok(()),
-        }
-    }
-
-    /// Overrides the write-ahead-log size past which a commit folds a
-    /// checkpoint in; see
-    /// [`crate::sharded::ShardedSaeEngine::set_checkpoint_threshold_bytes`].
-    /// A no-op on in-memory deployments.
-    pub fn set_checkpoint_threshold_bytes(&self, bytes: u64) {
-        if let Some(d) = &self.durability {
-            d.set_checkpoint_threshold_bytes(bytes);
-        }
-    }
-
-    /// Commits and tears the deployment down, surfacing the flush errors
-    /// that `Drop` would have to swallow.
-    pub fn close(self) -> StorageResult<()> {
-        self.flush()
     }
 
     /// The hash algorithm shared by all parties.
@@ -760,12 +601,6 @@ impl SaeSystem {
     /// The cost model charged for node accesses.
     pub fn cost_model(&self) -> CostModel {
         self.cost_model
-    }
-
-    /// Decomposes the deployment into its parties so they can be placed
-    /// behind independent locks (see [`crate::engine`]).
-    pub fn into_parts(self) -> (SaeServiceProvider, TrustedEntity, SaeClient) {
-        (self.sp, self.te, self.client)
     }
 
     /// Runs one query honestly and verifies it.
@@ -814,23 +649,9 @@ impl SaeSystem {
 
     /// Propagates an insertion from the data owner to both the SP and the TE.
     /// If the TE insertion fails after the SP accepted the record, the SP
-    /// insertion is rolled back so the parties never diverge. Durable
-    /// deployments commit the accepted update (pages before manifest) before
-    /// returning.
+    /// insertion is rolled back so the parties never diverge.
     pub fn insert_record(&mut self, record: &Record) -> StorageResult<()> {
-        insert_into_parties(&mut self.sp, &mut self.te, record)?;
-        if let Some(Err(e)) = self.commit_update() {
-            // Keep memory and disk agreeing: undo the accepted insert
-            // before reporting the failed commit, so a retry does not
-            // trip over a DuplicateRecordId for a record the caller was
-            // told never landed. (`&mut self` access makes this safe under
-            // `Group` too — no concurrent writer built on the state.)
-            // Best-effort — the commit failure is the primary error and
-            // must not be masked by the rollback.
-            let _ = delete_from_parties(&mut self.sp, &mut self.te, record.id, record.key);
-            return Err(e);
-        }
-        Ok(())
+        insert_into_parties(&mut self.sp, &mut self.te, record)
     }
 
     /// Propagates a deletion from the data owner to both the SP and the TE.
@@ -839,21 +660,8 @@ impl SaeSystem {
     /// successful removal is rolled back and [`StorageError::Desync`] is
     /// returned instead of leaving the deployment silently diverged (which
     /// would make every later query covering the key fail verification).
-    /// Durable deployments commit an effective deletion before returning; if
-    /// that commit fails, the in-memory removal is restored so memory and
-    /// disk keep agreeing.
     pub fn delete_record(&mut self, id: u64, key: u32) -> StorageResult<bool> {
-        let Some((pos, tuple)) = take_from_parties(&mut self.sp, &mut self.te, id, key)? else {
-            return Ok(false);
-        };
-        if let Some(Err(e)) = self.commit_update() {
-            // Best-effort restore of both parties; the commit failure is
-            // the primary error and must not be masked by the rollback.
-            let _ = self.sp.restore(id, key, pos);
-            let _ = self.te.restore(tuple);
-            return Err(e);
-        }
-        Ok(true)
+        delete_from_parties(&mut self.sp, &mut self.te, id, key)
     }
 
     /// Per-party storage consumption (Fig. 8).
@@ -884,9 +692,8 @@ pub(crate) fn insert_into_parties(
 
 /// One full write round trip against a locked SP/TE pair: insert `record`,
 /// sleep `hold` (the simulated write I/O, paid while the key range is
-/// locked), then delete the record again. Shared by the single-pair and
-/// sharded engines' `UpdateService` implementations so the update protocol
-/// cannot drift between them.
+/// locked), then delete the record again. The write op of
+/// [`crate::sharded::ShardedSaeEngine::apply_update`].
 pub(crate) fn update_parties(
     sp: &mut SaeServiceProvider,
     te: &mut TrustedEntity,
@@ -903,26 +710,14 @@ pub(crate) fn update_parties(
 
 /// Deletes `(id, key)` from both parties with rollback on disagreement.
 /// Shared between [`SaeSystem::delete_record`] and the concurrent engine,
-/// which holds the parties behind independent locks.
+/// which holds the parties behind independent locks. Returns whether the
+/// record existed.
 pub(crate) fn delete_from_parties(
     sp: &mut SaeServiceProvider,
     te: &mut TrustedEntity,
     id: u64,
     key: u32,
 ) -> StorageResult<bool> {
-    Ok(take_from_parties(sp, te, id, key)?.is_some())
-}
-
-/// Like [`delete_from_parties`], but returns the removed state — the SP heap
-/// position and the TE tuple — so a caller whose *durable commit* fails
-/// after the in-memory removal can restore both parties and keep memory and
-/// disk agreeing.
-pub(crate) fn take_from_parties(
-    sp: &mut SaeServiceProvider,
-    te: &mut TrustedEntity,
-    id: u64,
-    key: u32,
-) -> StorageResult<Option<(RecordId, TeTuple)>> {
     let sp_pos = sp.take(id, key)?;
     let te_tuple = match te.take(id, key) {
         Ok(tuple) => tuple,
@@ -937,8 +732,8 @@ pub(crate) fn take_from_parties(
         }
     };
     match (sp_pos, te_tuple) {
-        (Some(pos), Some(tuple)) => Ok(Some((pos, tuple))),
-        (None, None) => Ok(None),
+        (Some(_), Some(_)) => Ok(true),
+        (None, None) => Ok(false),
         (Some(pos), None) => {
             sp.restore(id, key, pos)?;
             Err(StorageError::Desync(format!(
@@ -1231,60 +1026,6 @@ mod tests {
         assert_eq!(a.vt, b.vt);
         assert!(a.metrics.verified && b.metrics.verified);
         assert!(b.metrics.te_node_accesses > a.metrics.te_node_accesses);
-    }
-
-    #[test]
-    fn durable_system_round_trips_through_close_and_open() {
-        let dir = tempfile::tempdir().unwrap();
-        let ds = small_dataset(1_500);
-        let mut system =
-            SaeSystem::create_dir(dir.path(), &ds, HashAlgorithm::Sha1, Some(64)).unwrap();
-        assert!(system.is_durable());
-        let fresh = Record::with_size(2_000_000, 25_000, 200);
-        system.insert_record(&fresh).unwrap();
-        let victim = ds.records[3].clone();
-        assert!(system.delete_record(victim.id, victim.key).unwrap());
-        let q = RangeQuery::new(0, 50_000);
-        let before = system.query(&q).unwrap();
-        assert!(before.metrics.verified);
-        system.close().unwrap();
-
-        let reopened = SaeSystem::open_dir(dir.path(), HashAlgorithm::Sha1, Some(64)).unwrap();
-        let after = reopened.query(&q).unwrap();
-        assert!(after.metrics.verified);
-        assert_eq!(after.records, before.records);
-        assert_eq!(after.vt, before.vt);
-        // The insert survived, the delete stayed deleted.
-        let ids: Vec<u64> = after
-            .records
-            .iter()
-            .map(|r| Record::decode(r).unwrap().id)
-            .collect();
-        assert!(ids.contains(&2_000_000));
-        assert!(!ids.contains(&victim.id));
-        // Tampered results are still rejected after recovery.
-        let outcome = reopened
-            .query_with_tamper(&q, TamperStrategy::DropRecords { count: 1 }, 5)
-            .unwrap();
-        assert!(!outcome.metrics.verified);
-        reopened.close().unwrap();
-
-        // A multi-shard directory cannot be opened as a single-pair system.
-        let sharded_dir = tempfile::tempdir().unwrap();
-        crate::sharded::ShardedSaeEngine::create_dir(
-            sharded_dir.path(),
-            &ds,
-            HashAlgorithm::Sha1,
-            2,
-            None,
-        )
-        .unwrap()
-        .close()
-        .unwrap();
-        assert!(matches!(
-            SaeSystem::open_dir(sharded_dir.path(), HashAlgorithm::Sha1, None),
-            Err(StorageError::Corrupted(_))
-        ));
     }
 
     #[test]

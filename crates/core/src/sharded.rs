@@ -1,11 +1,13 @@
-//! Key-range sharded SAE serving with verified scatter-gather queries.
+//! The concurrent SAE engine: key-range shards with verified scatter-gather
+//! queries.
 //!
-//! The single-pair [`SaeEngine`](crate::engine::SaeEngine) serializes every
-//! data-owner update behind two global locks, so write-heavy mixes collapse
-//! to single-writer throughput no matter how many client threads are added.
-//! The SAE model partitions cleanly by key range — each shard is an
-//! independent SP (heap + B⁺-Tree) plus TE (XB-Tree digest domain) — so
-//! [`ShardedSaeEngine`] holds `N` such pairs, each behind its own lock pair:
+//! [`ShardedSaeEngine`] is the one engine that serves many clients at once,
+//! in memory or durably. With one shard it is the paper's single SP/TE pair
+//! behind a lock pair, and every data-owner update serializes behind those
+//! two write locks. The SAE model partitions cleanly by key range — each
+//! shard is an independent SP (heap + B⁺-Tree) plus TE (XB-Tree digest
+//! domain) — so with `N` shards the engine holds `N` such pairs, each behind
+//! its own lock pair:
 //!
 //! * **Routing.** A point insert or delete touches exactly the shard owning
 //!   its key ([`ShardLayout::shard_of`]); writes to different shards run
@@ -43,11 +45,12 @@
 
 use crate::durable::{CommitCrashPoint, Durability, DurabilityPolicy, ShardStores};
 use crate::engine::{
-    serve_batch, serve_mix, serve_ops, QueryService, ServeOptions, ThroughputReport, UpdateService,
+    serve_batch, serve_mix, serve_ops, QueryService, ServeOptions, ThroughputReport,
 };
 use crate::metrics::QueryMetrics;
 use crate::sae::{
-    insert_into_parties, SaeClient, SaeServiceProvider, SaeVerifyError, TeMode, TrustedEntity,
+    delete_from_parties, insert_into_parties, update_parties, SaeClient, SaeServiceProvider,
+    SaeVerifyError, TeMode, TrustedEntity,
 };
 use crate::tamper::TamperStrategy;
 use parking_lot::{RwLock, RwLockWriteGuard};
@@ -304,7 +307,7 @@ pub struct ShardedSaeEngine {
     /// Every record id present anywhere in the deployment. Each shard's SP
     /// only knows its own directory, so without this the data owner could
     /// insert the same id under keys owned by different shards — something
-    /// the single-pair engine rejects. The lock is held only for the map
+    /// a single SP/TE pair rejects. The lock is held only for the map
     /// probe, never across shard work or the write I/O hold.
     ids: RwLock<HashSet<u64>>,
     /// The durable backing when the engine was created with
@@ -635,8 +638,7 @@ impl ShardedSaeEngine {
     /// deployment-wide id directory), so writes to other shards proceed
     /// concurrently. Ids duplicated *anywhere* in the deployment and keys
     /// outside the layout domain (which no range query could ever reach) are
-    /// rejected, exactly like the single-pair engine. A TE failure rolls the
-    /// shard's SP insertion back.
+    /// rejected. A TE failure rolls the shard's SP insertion back.
     ///
     /// On a durable engine the accepted insert is committed per the
     /// deployment's [`DurabilityPolicy`] before returning: a ticketed
@@ -712,9 +714,9 @@ impl ShardedSaeEngine {
         let shard = &self.shards[shard_idx];
         let mut sp = shard.sp.write();
         let mut te = shard.te.write();
-        let Some(_removed) = crate::sae::take_from_parties(&mut sp, &mut te, id, key)? else {
+        if !delete_from_parties(&mut sp, &mut te, id, key)? {
             return Ok(false);
-        };
+        }
         let Some(d) = &self.durability else {
             self.ids.write().remove(&id);
             return Ok(true);
@@ -732,6 +734,42 @@ impl ShardedSaeEngine {
                 self.group_commit_write(d, shard, shard_idx, sp, te)?;
                 Ok(true)
             }
+        }
+    }
+
+    /// Applies one insert-then-delete round trip of `record` to the shard
+    /// owning its key, atomically with respect to concurrent queries — the
+    /// write op of [`serve_ops`]. `hold` is slept *inside* the shard's write
+    /// critical section, simulating the I/O a real write performs while the
+    /// key range is locked; this is the serialization sharding breaks up.
+    pub fn apply_update(&self, record: &Record, hold: Duration) -> StorageResult<()> {
+        self.claim(record)?;
+        let shard_idx = self.layout.shard_of(record.key);
+        let shard = &self.shards[shard_idx];
+        let mut sp = shard.sp.write();
+        let mut te = shard.te.write();
+        // The round trip is committed once, after its trailing delete: the
+        // committed states bracket the whole round trip, which is exactly
+        // the atomicity the update protocol promises.
+        match update_parties(&mut sp, &mut te, record, hold) {
+            Ok(()) => {
+                // The round trip deleted the record again, so its id can be
+                // released whether or not the commit below succeeds — the
+                // record exists in neither memory nor the committed state.
+                let committed = match &self.durability {
+                    None => Ok(()),
+                    Some(d) => match d.policy() {
+                        DurabilityPolicy::FlushOnClose => Ok(()),
+                        _ => self.group_commit_write(d, shard, shard_idx, sp, te),
+                    },
+                };
+                self.ids.write().remove(&record.id);
+                committed
+            }
+            // The claim is conservatively kept on a round-trip error — the
+            // record may still exist if the trailing delete was the step
+            // that failed.
+            Err(e) => Err(e),
         }
     }
 
@@ -1016,39 +1054,6 @@ impl QueryService for ShardedSaeEngine {
 
     fn cost_model(&self) -> CostModel {
         self.cost_model
-    }
-}
-
-impl UpdateService for ShardedSaeEngine {
-    fn apply_update(&self, record: &Record, hold: Duration) -> StorageResult<()> {
-        self.claim(record)?;
-        let shard_idx = self.layout.shard_of(record.key);
-        let shard = &self.shards[shard_idx];
-        let mut sp = shard.sp.write();
-        let mut te = shard.te.write();
-        // The round trip is committed once, after its trailing delete: the
-        // committed states bracket the whole round trip, which is exactly
-        // the atomicity the update protocol promises.
-        match crate::sae::update_parties(&mut sp, &mut te, record, hold) {
-            Ok(()) => {
-                // The round trip deleted the record again, so its id can be
-                // released whether or not the commit below succeeds — the
-                // record exists in neither memory nor the committed state.
-                let committed = match &self.durability {
-                    None => Ok(()),
-                    Some(d) => match d.policy() {
-                        DurabilityPolicy::FlushOnClose => Ok(()),
-                        _ => self.group_commit_write(d, shard, shard_idx, sp, te),
-                    },
-                };
-                self.ids.write().remove(&record.id);
-                committed
-            }
-            // The claim is conservatively kept on a round-trip error — the
-            // record may still exist if the trailing delete was the step
-            // that failed.
-            Err(e) => Err(e),
-        }
     }
 }
 

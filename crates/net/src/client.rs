@@ -22,7 +22,10 @@
 //! returns an error, advertises an epoch below the client's verified
 //! high-water mark, or doctors its slice is **demoted** and the sub-query
 //! re-issued to a sibling, whose slice faces the exact same token
-//! verification. A merely *slow* replica is hedged, not demoted: with
+//! verification. An honest refusal is not a fault: a `RESPONSE_TOO_LARGE`
+//! answer (the slice exceeds the frame cap, which every replica would
+//! refuse alike) is recorded as an endpoint error but demotes nobody. A
+//! merely *slow* replica is hedged, not demoted: with
 //! [`NetClientConfig::hedge_timeout`] set, a sibling is raced after the
 //! window expires and the first valid slice wins, while the loser drains in
 //! the background and returns its connection to the pool. Demoted endpoints
@@ -36,7 +39,7 @@
 //! has already verified — see `docs/replication.md` for the exact
 //! guarantee.
 
-use crate::frame::{read_frame, write_frame, Message, NetError, NetResult};
+use crate::frame::{code, read_frame, write_frame, Message, NetError, NetResult};
 use crate::topology::Topology;
 use parking_lot::Mutex;
 use sae_core::ShardedVerifyError;
@@ -850,7 +853,9 @@ fn spawn_leg(
 
 /// One request/response exchange against one endpoint: classify the reply
 /// and — on any bad answer — demote the endpoint *here, in the leg*, so an
-/// abandoned hedge loser still routes itself out of future preference.
+/// abandoned hedge loser still routes itself out of future preference. The
+/// one exception is `RESPONSE_TOO_LARGE`: a deterministic, honest refusal
+/// that every sibling would repeat, so it is reported but demotes nobody.
 fn request_leg(
     shared: &ClientShared,
     endpoint: String,
@@ -906,7 +911,11 @@ fn request_leg(
         ),
         Err(e) => (Err(e), 0, 0),
     };
-    if outcome.is_err() {
+    let honest_refusal = matches!(
+        &outcome,
+        Err(NetError::Remote { code: refused, .. }) if *refused == code::RESPONSE_TOO_LARGE
+    );
+    if outcome.is_err() && !honest_refusal {
         shared.demoted.lock().insert(endpoint.clone());
     }
     Leg {

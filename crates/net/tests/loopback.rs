@@ -6,8 +6,8 @@
 use sae_core::{ShardedSaeEngine, ShardedVerifyError};
 use sae_crypto::HashAlgorithm;
 use sae_net::{
-    encode_frame, read_frame, write_frame, Message, NetError, ServerTamper, ShardServer,
-    ShardServerConfig, WIRE_VERSION,
+    encode_frame, read_frame, write_frame, Message, NetClient, NetClientConfig, NetError,
+    ServerTamper, ShardServer, ShardServerConfig, Topology, WIRE_VERSION,
 };
 use sae_storage::wal::crc32;
 use sae_workload::{DatasetSpec, KeyDistribution, RangeQuery};
@@ -312,6 +312,62 @@ fn probe_health_re_admits_a_restarted_replica() {
     assert!(client.demoted().is_empty());
     assert!(client.query(&full).verdict.is_ok());
     revived.shutdown();
+    for server in servers {
+        server.shutdown();
+    }
+}
+
+#[test]
+fn an_honest_too_large_refusal_demotes_nobody() {
+    // One shard holding more records of 500 B than fit the 4 MiB frame cap,
+    // served by two endpoints.
+    let dataset = DatasetSpec {
+        cardinality: 9_000,
+        distribution: KeyDistribution::Uniform { domain: DOMAIN },
+        record_size: 500,
+        seed: 7,
+    }
+    .generate();
+    let engine =
+        Arc::new(ShardedSaeEngine::build_in_memory(&dataset, HashAlgorithm::Sha1, 1).unwrap());
+    let servers: Vec<ShardServer> = (0..2)
+        .map(|_| {
+            ShardServer::spawn(
+                Arc::clone(&engine),
+                vec![0],
+                "127.0.0.1:0",
+                ShardServerConfig::default(),
+            )
+            .unwrap()
+        })
+        .collect();
+    let group = servers.iter().map(|s| s.local_addr().to_string()).collect();
+    let topology = Topology::replicated(vec![group]).unwrap();
+    let mut client =
+        NetClient::for_engine_topology(&engine, topology, NetClientConfig::default()).unwrap();
+
+    // Every replica refuses the full range the same way: the shard goes
+    // unanswered and each refusal is reported, but nobody is demoted.
+    let wide = client.query(&RangeQuery::new(0, DOMAIN));
+    assert!(
+        matches!(
+            wide.verdict,
+            Err(ShardedVerifyError::MissingShardSlice { shard: 0 })
+        ),
+        "{:?}",
+        wide.verdict
+    );
+    assert!(!wide.endpoint_errors.is_empty());
+    assert!(wide.endpoint_errors.iter().all(|(_, e)| matches!(
+        e,
+        NetError::Remote { code, .. } if *code == sae_net::frame::code::RESPONSE_TOO_LARGE
+    )));
+    assert!(client.demoted().is_empty(), "{:?}", client.demoted());
+
+    // The next small query is served by the preferred replica.
+    let small = client.query(&RangeQuery::new(DOMAIN / 2, DOMAIN / 2 + 100));
+    assert!(small.verdict.is_ok(), "{:?}", small.verdict);
+    assert_eq!(small.failovers, 0, "{:?}", small.endpoint_errors);
     for server in servers {
         server.shutdown();
     }

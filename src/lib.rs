@@ -56,11 +56,10 @@ pub use sae_xbtree as xbtree;
 /// The most commonly used types, re-exported flat.
 pub mod prelude {
     pub use sae_core::{
-        CommitCrashPoint, DurabilityPolicy, LatencySummary, QueryMetrics, SaeClient, SaeEngine,
+        CommitCrashPoint, DurabilityPolicy, LatencySummary, QueryMetrics, SaeClient,
         SaeQueryOutcome, SaeSystem, SaeVerifyError, ServeOptions, ShardLayout, ShardSlice,
         ShardedQueryOutcome, ShardedSaeEngine, ShardedVerifyError, StorageBreakdown,
-        TamperStrategy, ThroughputReport, TomEngine, TomQueryOutcome, TomSystem, TrustedEntity,
-        UpdateService,
+        TamperStrategy, ThroughputReport, TomQueryOutcome, TomSystem, TrustedEntity,
     };
     pub use sae_crypto::{
         hash_bytes, Digest, HashAlgorithm, MacSigner, RsaSigner, Signer, Verifier, XorDigest,

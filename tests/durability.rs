@@ -108,40 +108,39 @@ fn reopen_after_close_round_trips_queries_and_digests_on_every_layout() {
 #[test]
 fn committed_updates_survive_repeated_restarts() {
     let ds = dataset(1_500, 12);
-    let dir = tempfile::tempdir().unwrap();
     let fresh = Record::with_size(8_400_000, 4_321_000, 500);
+    let victim = ds.records[3].clone();
+    // One shard is the paper's single SP/TE pair; four exercise routing.
+    for shards in [1usize, 4] {
+        let dir = tempfile::tempdir().unwrap();
+        let engine = create_engine(dir.path(), &ds, shards, Some(128));
+        engine.insert(&fresh).unwrap();
+        assert!(engine.delete(victim.id, victim.key).unwrap());
+        engine.close().unwrap();
 
-    let engine = create_engine(dir.path(), &ds, 4, Some(128));
-    engine.insert(&fresh).unwrap();
-    engine.close().unwrap();
+        // Restart 1: the insert is there and the delete stayed deleted;
+        // delete the insert too.
+        let all = RangeQuery::new(0, DOMAIN);
+        let engine = ShardedSaeEngine::open_dir(dir.path(), ALG, Some(128)).unwrap();
+        let full = engine.query(&all).unwrap();
+        assert!(full.verdict.is_ok(), "{shards} shards: {:?}", full.verdict);
+        let ids = served_ids(&engine, &all);
+        assert!(ids.contains(&fresh.id), "{shards} shards");
+        assert!(!ids.contains(&victim.id), "{shards} shards");
+        assert!(engine.delete(fresh.id, fresh.key).unwrap());
+        engine.close().unwrap();
 
-    // Restart 1: the insert is there; delete it.
-    let engine = ShardedSaeEngine::open_dir(dir.path(), ALG, Some(128)).unwrap();
-    let q = RangeQuery::new(fresh.key, fresh.key);
-    let outcome = engine.query(&q).unwrap();
-    assert!(outcome.verdict.is_ok());
-    assert!(outcome
-        .slices
-        .iter()
-        .flat_map(|s| s.records.iter())
-        .any(|r| Record::decode(r).unwrap().id == fresh.id));
-    assert!(engine.delete(fresh.id, fresh.key).unwrap());
-    engine.close().unwrap();
-
-    // Restart 2: the delete stuck, the tombstone stayed dead, and the whole
-    // domain still verifies.
-    let engine = ShardedSaeEngine::open_dir(dir.path(), ALG, Some(128)).unwrap();
-    let outcome = engine.query(&q).unwrap();
-    assert!(outcome.verdict.is_ok());
-    assert!(!outcome
-        .slices
-        .iter()
-        .flat_map(|s| s.records.iter())
-        .any(|r| Record::decode(r).unwrap().id == fresh.id));
-    let full = engine.query(&RangeQuery::new(0, DOMAIN)).unwrap();
-    assert!(full.verdict.is_ok());
-    assert_eq!(full.metrics.result_cardinality, ds.records.len() as u64);
-    engine.close().unwrap();
+        // Restart 2: both deletes stuck, the tombstones stayed dead, and the
+        // whole domain still verifies.
+        let engine = ShardedSaeEngine::open_dir(dir.path(), ALG, Some(128)).unwrap();
+        let full = engine.query(&all).unwrap();
+        assert!(full.verdict.is_ok(), "{shards} shards: {:?}", full.verdict);
+        let ids = served_ids(&engine, &all);
+        assert!(!ids.contains(&fresh.id), "{shards} shards");
+        assert!(!ids.contains(&victim.id), "{shards} shards");
+        assert_eq!(ids.len(), ds.records.len() - 1, "{shards} shards");
+        engine.close().unwrap();
+    }
 }
 
 fn close_deployment(dir: &Path, shards: usize) {

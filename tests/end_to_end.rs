@@ -174,7 +174,7 @@ fn update_streams_keep_both_models_consistent_and_verifiable() {
 fn concurrent_engine_agrees_with_the_sequential_system() {
     let ds = dataset(5_000, KeyDistribution::unf(), 9);
     let system = SaeSystem::build_in_memory(&ds, ALG).unwrap();
-    let engine = SaeEngine::build_cached(&ds, ALG, 256).unwrap();
+    let engine = ShardedSaeEngine::build_cached(&ds, ALG, 1, 256).unwrap();
 
     let queries = QueryMix::uniform(10_000_000, 0.005)
         .workload(40, 51)
