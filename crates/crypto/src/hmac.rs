@@ -4,10 +4,9 @@
 //! for the public-key signature the data owner places on the MB-Tree root in
 //! TOM. It is also generally useful for keyed integrity checks in tests.
 
+use crate::block::BLOCK_LEN;
 use crate::digest::Digest;
 use crate::hash::HashAlgorithm;
-
-const BLOCK_LEN: usize = 64;
 
 /// Computes `HMAC(key, message)` with the given hash algorithm, returning the
 /// system's 20-byte digest.

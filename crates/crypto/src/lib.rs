@@ -11,7 +11,8 @@
 //!   verification token (`VT = t_i.h ⊕ … ⊕ t_j.h`).
 //! * [`sha1`] / [`sha256`] — one-way, collision-resistant hash functions
 //!   implemented from the FIPS specifications (SHA-256 output is truncated to
-//!   20 bytes when used through [`HashAlgorithm::Sha256`]).
+//!   20 bytes when used through [`HashAlgorithm::Sha256`]). SHA-1 runs on the
+//!   CPU's SHA extensions where present ([`sha1::backend`]).
 //! * [`hmac`] — keyed MACs over either hash, used by the fast
 //!   [`signer::MacSigner`] and in tests.
 //! * [`bigint`] / [`rsa`] — an unsigned big-integer implementation and a
@@ -28,6 +29,7 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod bigint;
+mod block;
 pub mod digest;
 pub mod hash;
 pub mod hmac;

@@ -2,23 +2,46 @@
 //!
 //! SHA-1 produces exactly the 20-byte digests the paper's experiments assume
 //! ("A digest consumes 20 bytes for both SAE and TOM"). The implementation is
-//! a straightforward streaming Merkle–Damgård construction; it is *not*
-//! intended to resist modern collision attacks, but it plays the same
-//! structural role (one-way, collision-resistant in the paper's threat model)
-//! and its cost profile matches what the original evaluation measured.
+//! a streaming Merkle–Damgård construction; it is *not* intended to resist
+//! modern collision attacks, but it plays the same structural role (one-way,
+//! collision-resistant in the paper's threat model).
+//!
+//! # Backends
+//!
+//! Hashing every returned record is the client's whole verification cost, so
+//! the block function has two implementations behind the one [`Sha1`] API:
+//!
+//! * **`sha-ni`** — on x86-64 CPUs with Intel's SHA extensions (Gulley et al.,
+//!   "Intel SHA Extensions", 2013), `sha1rnds4` / `sha1nexte` / `sha1msg1` /
+//!   `sha1msg2` run four rounds and four schedule words per instruction, with
+//!   the state held in vector registers across every whole block of an
+//!   [`Sha1::update`]. It lives in a private module, the one place in the
+//!   workspace allowed `unsafe` (`docs/invariants.md`, R6).
+//! * **`scalar`** — portable Rust everywhere else: a 16-word rolling message
+//!   schedule and fully unrolled rounds, reading blocks straight from the
+//!   input.
+//!
+//! Dispatch happens on every run of blocks with `is_x86_feature_detected!`,
+//! which reads a CPUID result std caches after the first call; there is no
+//! setting for it. [`backend`] names the one in use. Both backends produce
+//! byte-identical digests: the FIPS vectors, and a test that runs them side by
+//! side over every length up to 1 100 bytes and every split point of a
+//! three-block `update`, pin it.
 
+use crate::block::{Block, BlockBuffer};
 use crate::digest::{Digest, DIGEST_LEN};
 
-const BLOCK_LEN: usize = 64;
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod ni;
+
 const H0: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
 
 /// Incremental SHA-1 hasher.
 #[derive(Clone)]
 pub struct Sha1 {
     state: [u32; 5],
-    buffer: [u8; BLOCK_LEN],
-    buffer_len: usize,
-    total_len: u64,
+    block: BlockBuffer,
 }
 
 impl Default for Sha1 {
@@ -32,62 +55,18 @@ impl Sha1 {
     pub fn new() -> Self {
         Sha1 {
             state: H0,
-            buffer: [0u8; BLOCK_LEN],
-            buffer_len: 0,
-            total_len: 0,
+            block: BlockBuffer::new(),
         }
     }
 
     /// Absorbs `data` into the hash state.
     pub fn update(&mut self, data: &[u8]) {
-        self.total_len = self.total_len.wrapping_add(data.len() as u64);
-        let mut input = data;
-
-        if self.buffer_len > 0 {
-            let want = BLOCK_LEN - self.buffer_len;
-            let take = want.min(input.len());
-            self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&input[..take]);
-            self.buffer_len += take;
-            input = &input[take..];
-            if self.buffer_len == BLOCK_LEN {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
-            }
-        }
-
-        let mut chunks = input.chunks_exact(BLOCK_LEN);
-        for block in &mut chunks {
-            let mut b = [0u8; BLOCK_LEN];
-            b.copy_from_slice(block);
-            self.compress(&b);
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            self.buffer[..rest.len()].copy_from_slice(rest);
-            self.buffer_len = rest.len();
-        }
+        self.update_with(data, compress);
     }
 
     /// Finalizes the hash and returns the 20-byte digest.
-    pub fn finalize(mut self) -> Digest {
-        let bit_len = self.total_len.wrapping_mul(8);
-        // Append 0x80 then zero padding, then the 64-bit big-endian length.
-        self.update_padding(0x80);
-        while self.buffer_len != 56 {
-            self.update_padding(0x00);
-        }
-        let len_bytes = bit_len.to_be_bytes();
-        for b in len_bytes {
-            self.update_padding(b);
-        }
-        debug_assert_eq!(self.buffer_len, 0);
-
-        let mut out = [0u8; DIGEST_LEN];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        Digest::new(out)
+    pub fn finalize(self) -> Digest {
+        self.finalize_with(compress)
     }
 
     /// One-shot convenience: hash `data` and return the digest.
@@ -97,52 +76,127 @@ impl Sha1 {
         h.finalize()
     }
 
-    fn update_padding(&mut self, byte: u8) {
-        self.buffer[self.buffer_len] = byte;
-        self.buffer_len += 1;
-        if self.buffer_len == BLOCK_LEN {
-            let block = self.buffer;
-            self.compress(&block);
-            self.buffer_len = 0;
-        }
+    #[inline]
+    fn update_with(&mut self, data: &[u8], mut compress: impl FnMut(&mut [u32; 5], &[Block])) {
+        let state = &mut self.state;
+        self.block.update(data, |blocks| compress(state, blocks));
     }
 
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
-        let mut w = [0u32; 80];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+    #[inline]
+    fn finalize_with(self, mut compress: impl FnMut(&mut [u32; 5], &[Block])) -> Digest {
+        let mut state = self.state;
+        self.block.finalize(|blocks| compress(&mut state, blocks));
+        let mut out = [0u8; DIGEST_LEN];
+        for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
         }
-        for i in 16..80 {
-            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
+        Digest::new(out)
+    }
+}
+
+/// The block-function backend this process uses: `"sha-ni"` on an x86-64 CPU
+/// with the SHA extensions, `"scalar"` everywhere else.
+pub fn backend() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if ni::ShaNi::detect().is_some() {
+        return "sha-ni";
+    }
+    "scalar"
+}
+
+/// Compresses a run of blocks into `state` on the best backend this CPU has.
+#[inline]
+fn compress(state: &mut [u32; 5], blocks: &[Block]) {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(ni) = ni::ShaNi::detect() {
+        ni.compress(state, blocks);
+        return;
+    }
+    compress_scalar(state, blocks);
+}
+
+const K: [u32; 4] = [0x5A827999, 0x6ED9EBA1, 0x8F1BBCDC, 0xCA62C1D6];
+
+#[inline(always)]
+fn ch(b: u32, c: u32, d: u32) -> u32 {
+    d ^ (b & (c ^ d))
+}
+
+#[inline(always)]
+fn parity(b: u32, c: u32, d: u32) -> u32 {
+    b ^ c ^ d
+}
+
+#[inline(always)]
+fn maj(b: u32, c: u32, d: u32) -> u32 {
+    (b & c) | (d & (b | c))
+}
+
+/// Message word `i` of the current block. Words 0–15 are the block itself;
+/// each later one replaces the word 16 places back, so 16 words hold the
+/// whole schedule.
+#[inline(always)]
+fn word(w: &mut [u32; 16], i: usize) -> u32 {
+    if i < 16 {
+        return w[i];
+    }
+    let next = (w[(i + 13) & 15] ^ w[(i + 8) & 15] ^ w[(i + 2) & 15] ^ w[i & 15]).rotate_left(1);
+    w[i & 15] = next;
+    next
+}
+
+/// One round. The caller renames the working variables instead of shifting
+/// them: the new `a` lands in `$e`'s slot and `c = rotl30(b)` in `$b`'s.
+macro_rules! round {
+    ($a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $f:ident, $k:expr, $w:expr) => {
+        $e = $e
+            .wrapping_add($a.rotate_left(5))
+            .wrapping_add($f($b, $c, $d))
+            .wrapping_add($k)
+            .wrapping_add($w);
+        $b = $b.rotate_left(30);
+    };
+}
+
+/// The portable block function.
+fn compress_scalar(state: &mut [u32; 5], blocks: &[Block]) {
+    for block in blocks {
+        let mut w = [0u32; 16];
+        for (word, bytes) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+            *word = u32::from_be_bytes(*bytes);
         }
+        let [mut a, mut b, mut c, mut d, mut e] = *state;
 
-        let [mut a, mut b, mut c, mut d, mut e] = self.state;
-
-        for (i, &wi) in w.iter().enumerate() {
-            let (f, k) = match i {
-                0..=19 => ((b & c) | ((!b) & d), 0x5A827999u32),
-                20..=39 => (b ^ c ^ d, 0x6ED9EBA1),
-                40..=59 => ((b & c) | (b & d) | (c & d), 0x8F1BBCDC),
-                _ => (b ^ c ^ d, 0xCA62C1D6),
+        // Five rounds bring every variable back under its own name.
+        macro_rules! five {
+            ($f:ident, $k:expr, $i:expr) => {
+                round!(a, b, c, d, e, $f, $k, word(&mut w, $i));
+                round!(e, a, b, c, d, $f, $k, word(&mut w, $i + 1));
+                round!(d, e, a, b, c, $f, $k, word(&mut w, $i + 2));
+                round!(c, d, e, a, b, $f, $k, word(&mut w, $i + 3));
+                round!(b, c, d, e, a, $f, $k, word(&mut w, $i + 4));
             };
-            let temp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = temp;
         }
+        five!(ch, K[0], 0);
+        five!(ch, K[0], 5);
+        five!(ch, K[0], 10);
+        five!(ch, K[0], 15);
+        five!(parity, K[1], 20);
+        five!(parity, K[1], 25);
+        five!(parity, K[1], 30);
+        five!(parity, K[1], 35);
+        five!(maj, K[2], 40);
+        five!(maj, K[2], 45);
+        five!(maj, K[2], 50);
+        five!(maj, K[2], 55);
+        five!(parity, K[3], 60);
+        five!(parity, K[3], 65);
+        five!(parity, K[3], 70);
+        five!(parity, K[3], 75);
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e]) {
+            *s = s.wrapping_add(v);
+        }
     }
 }
 
@@ -216,5 +270,92 @@ mod tests {
     #[test]
     fn different_inputs_give_different_digests() {
         assert_ne!(Sha1::digest(b"record-1"), Sha1::digest(b"record-2"));
+    }
+
+    /// Hashes the concatenation of `parts`, one `update` per part, on the
+    /// given block function.
+    fn digest_on(parts: &[&[u8]], compress: impl Fn(&mut [u32; 5], &[Block]) + Copy) -> Digest {
+        let mut h = Sha1::new();
+        for part in parts {
+            h.update_with(part, compress);
+        }
+        h.finalize_with(compress)
+    }
+
+    type Compress = Box<dyn Fn(&mut [u32; 5], &[Block])>;
+
+    /// Every backend this CPU can run, by name, scalar first.
+    fn backends() -> Vec<(&'static str, Compress)> {
+        let mut out: Vec<(&'static str, Compress)> = vec![("scalar", Box::new(compress_scalar))];
+        #[cfg(target_arch = "x86_64")]
+        match ni::ShaNi::detect() {
+            Some(ni) => out.push(("sha-ni", Box::new(move |s, b| ni.compress(s, b)))),
+            None => println!("sha-ni leg skipped: this CPU does not report the SHA extensions"),
+        }
+        out
+    }
+
+    #[test]
+    fn every_backend_matches_the_fips_vectors_and_each_other() {
+        let backends = backends();
+        let names: Vec<&str> = backends.iter().map(|(name, _)| *name).collect();
+        println!("SHA-1 backends tested: {}", names.join(", "));
+
+        let million_a = vec![b'a'; 1_000_000];
+        let fips: [(&[u8], &str); 4] = [
+            (b"", "da39a3ee5e6b4b0d3255bfef95601890afd80709"),
+            (b"abc", "a9993e364706816aba3e25717850c26c9cd0d89d"),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "84983e441c3bd26ebaae4aa1f95129e5e54670f1",
+            ),
+            (&million_a, "34aa973cd4c4daa4f61eeb2bdbad27316534016f"),
+        ];
+        for (name, compress) in &backends {
+            for (msg, want) in fips {
+                assert_eq!(
+                    digest_on(&[msg], compress),
+                    Digest::from_hex(want).unwrap(),
+                    "{name}"
+                );
+            }
+        }
+
+        // A seeded buffer (xorshift64), every length from 0 to 1100 bytes.
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let data: Vec<u8> = (0..1100)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        let (_, scalar) = &backends[0];
+        for len in 0..=data.len() {
+            let want = digest_on(&[&data[..len]], scalar);
+            for (name, compress) in &backends[1..] {
+                assert_eq!(
+                    digest_on(&[&data[..len]], compress),
+                    want,
+                    "{name}, length {len}"
+                );
+            }
+        }
+
+        // A three-block message in two `update`s, cut at every point, so the
+        // run of whole blocks starts after a partly filled buffer.
+        let msg = &data[..3 * crate::block::BLOCK_LEN];
+        let want = digest_on(&[msg], scalar);
+        for (name, compress) in &backends {
+            for cut in 0..=msg.len() {
+                let (head, tail) = msg.split_at(cut);
+                assert_eq!(
+                    digest_on(&[head, tail], compress),
+                    want,
+                    "{name}, cut {cut}"
+                );
+            }
+        }
     }
 }

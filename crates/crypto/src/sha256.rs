@@ -5,9 +5,8 @@
 //! the first 20 bytes. The full 32-byte output is also exposed for callers
 //! (e.g. HMAC) that need it.
 
+use crate::block::{Block, BlockBuffer};
 use crate::digest::{Digest, DIGEST_LEN};
-
-const BLOCK_LEN: usize = 64;
 
 const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
@@ -28,9 +27,7 @@ const K: [u32; 64] = [
 #[derive(Clone)]
 pub struct Sha256 {
     state: [u32; 8],
-    buffer: [u8; BLOCK_LEN],
-    buffer_len: usize,
-    total_len: u64,
+    block: BlockBuffer,
 }
 
 impl Default for Sha256 {
@@ -44,58 +41,23 @@ impl Sha256 {
     pub fn new() -> Self {
         Sha256 {
             state: H0,
-            buffer: [0u8; BLOCK_LEN],
-            buffer_len: 0,
-            total_len: 0,
+            block: BlockBuffer::new(),
         }
     }
 
     /// Absorbs `data` into the hash state.
     pub fn update(&mut self, data: &[u8]) {
-        self.total_len = self.total_len.wrapping_add(data.len() as u64);
-        let mut input = data;
-
-        if self.buffer_len > 0 {
-            let want = BLOCK_LEN - self.buffer_len;
-            let take = want.min(input.len());
-            self.buffer[self.buffer_len..self.buffer_len + take].copy_from_slice(&input[..take]);
-            self.buffer_len += take;
-            input = &input[take..];
-            if self.buffer_len == BLOCK_LEN {
-                let block = self.buffer;
-                self.compress(&block);
-                self.buffer_len = 0;
-            }
-        }
-
-        let mut chunks = input.chunks_exact(BLOCK_LEN);
-        for block in &mut chunks {
-            let mut b = [0u8; BLOCK_LEN];
-            b.copy_from_slice(block);
-            self.compress(&b);
-        }
-        let rest = chunks.remainder();
-        if !rest.is_empty() {
-            self.buffer[..rest.len()].copy_from_slice(rest);
-            self.buffer_len = rest.len();
-        }
+        let state = &mut self.state;
+        self.block.update(data, |blocks| compress(state, blocks));
     }
 
     /// Finalizes the hash and returns the full 32-byte output.
-    pub fn finalize_full(mut self) -> [u8; 32] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        self.update_padding(0x80);
-        while self.buffer_len != 56 {
-            self.update_padding(0x00);
-        }
-        for b in bit_len.to_be_bytes() {
-            self.update_padding(b);
-        }
-        debug_assert_eq!(self.buffer_len, 0);
-
+    pub fn finalize_full(self) -> [u8; 32] {
+        let mut state = self.state;
+        self.block.finalize(|blocks| compress(&mut state, blocks));
         let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+        for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+            bytes.copy_from_slice(&word.to_be_bytes());
         }
         out
     }
@@ -121,21 +83,14 @@ impl Sha256 {
         h.update(data);
         h.finalize()
     }
+}
 
-    fn update_padding(&mut self, byte: u8) {
-        self.buffer[self.buffer_len] = byte;
-        self.buffer_len += 1;
-        if self.buffer_len == BLOCK_LEN {
-            let block = self.buffer;
-            self.compress(&block);
-            self.buffer_len = 0;
-        }
-    }
-
-    fn compress(&mut self, block: &[u8; BLOCK_LEN]) {
+/// Compresses a run of blocks into `state`.
+fn compress(state: &mut [u32; 8], blocks: &[Block]) {
+    for block in blocks {
         let mut w = [0u32; 64];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        for (word, bytes) in w.iter_mut().zip(block.as_chunks::<4>().0) {
+            *word = u32::from_be_bytes(*bytes);
         }
         for i in 16..64 {
             let s0 = w[i - 15].rotate_right(7) ^ w[i - 15].rotate_right(18) ^ (w[i - 15] >> 3);
@@ -146,7 +101,7 @@ impl Sha256 {
                 .wrapping_add(s1);
         }
 
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
 
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
@@ -170,14 +125,9 @@ impl Sha256 {
             a = temp1.wrapping_add(temp2);
         }
 
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e, f, g, h]) {
+            *s = s.wrapping_add(v);
+        }
     }
 }
 

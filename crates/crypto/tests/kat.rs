@@ -11,6 +11,10 @@
 //!   itself is computed over the full-width hash, so the prefixes match the
 //!   RFC exactly).
 //!
+//! The SHA vectors run on whichever SHA-1 backend this CPU selects
+//! ([`sae_crypto::sha1::backend`], pinned below); the unit tests in
+//! `sha1.rs` run both backends side by side.
+//!
 //! Also includes deterministic regression tests for the XOR-aggregation
 //! algebra the SAE verification token relies on (order independence and
 //! self-inverse), complementing the randomized versions in `properties.rs`.
@@ -78,6 +82,22 @@ fn sha1_exact_block_boundary_lengths() {
         Sha1::digest(&[0u8; 64]).to_hex(),
         "c8d7d0ef0eedfa82d2ea1aa592845b9a6d4b02b7"
     );
+}
+
+/// A refactor that quietly falls back to the scalar block function still
+/// passes every digest test; this pins the dispatch itself. Every CPU with
+/// the SHA extensions also has the SSSE3 and SSE4.1 the compressor uses.
+#[test]
+fn sha1_backend_is_sha_ni_exactly_when_the_cpu_has_it() {
+    #[cfg(target_arch = "x86_64")]
+    let expected = if std::arch::is_x86_feature_detected!("sha") {
+        "sha-ni"
+    } else {
+        "scalar"
+    };
+    #[cfg(not(target_arch = "x86_64"))]
+    let expected = "scalar";
+    assert_eq!(sae_crypto::sha1::backend(), expected);
 }
 
 // --- SHA-256 (FIPS 180-4) --------------------------------------------------

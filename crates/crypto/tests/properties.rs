@@ -12,6 +12,15 @@ fn arb_digest() -> impl Strategy<Value = Digest> {
     prop::array::uniform20(any::<u8>()).prop_map(Digest::new)
 }
 
+/// `data` cut into four consecutive parts at `cuts`, each clamped to the
+/// length and taken in ascending order.
+fn split_at_cuts(data: &[u8], cuts: (usize, usize, usize)) -> [&[u8]; 4] {
+    let mut cuts = [cuts.0, cuts.1, cuts.2];
+    cuts.sort_unstable();
+    let [a, b, c] = cuts.map(|cut| cut.min(data.len()));
+    [&data[..a], &data[a..b], &data[b..c], &data[c..]]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -68,23 +77,25 @@ proptest! {
 
     // --- hash functions -----------------------------------------------------
 
+    /// Four `update`s split at three arbitrary points, so runs of whole
+    /// blocks start both on and off a block boundary.
     #[test]
-    fn sha1_streaming_equals_one_shot(data in prop::collection::vec(any::<u8>(), 0..512),
-                                      cut in 0usize..512) {
-        let cut = cut.min(data.len());
+    fn sha1_streaming_equals_one_shot(data in prop::collection::vec(any::<u8>(), 0..=2048),
+                                      cuts in (0usize..=2048, 0usize..=2048, 0usize..=2048)) {
         let mut h = Sha1::new();
-        h.update(&data[..cut]);
-        h.update(&data[cut..]);
+        for part in split_at_cuts(&data, cuts) {
+            h.update(part);
+        }
         prop_assert_eq!(h.finalize(), Sha1::digest(&data));
     }
 
     #[test]
-    fn sha256_streaming_equals_one_shot(data in prop::collection::vec(any::<u8>(), 0..512),
-                                        cut in 0usize..512) {
-        let cut = cut.min(data.len());
+    fn sha256_streaming_equals_one_shot(data in prop::collection::vec(any::<u8>(), 0..=2048),
+                                        cuts in (0usize..=2048, 0usize..=2048, 0usize..=2048)) {
         let mut h = Sha256::new();
-        h.update(&data[..cut]);
-        h.update(&data[cut..]);
+        for part in split_at_cuts(&data, cuts) {
+            h.update(part);
+        }
         prop_assert_eq!(h.finalize_full(), Sha256::digest_full(&data));
     }
 

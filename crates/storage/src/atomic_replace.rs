@@ -29,12 +29,19 @@ pub fn atomic_replace<P: AsRef<Path>>(path: P, bytes: &[u8]) -> StorageResult<()
     // Directory sync is best effort: some filesystems refuse to open a
     // directory for writing, and the rename is already ordered after the
     // temp file's sync.
-    if let Some(parent) = path.parent() {
-        if let Ok(dir) = std::fs::File::open(parent) {
-            dir.sync_all()?;
-        }
+    if let Ok(dir) = std::fs::File::open(parent_dir(path)) {
+        dir.sync_all()?;
     }
     Ok(())
+}
+
+/// The directory whose entry names `path`. A bare file name's parent is
+/// `""`, which no `open` accepts, so it resolves to the current directory.
+fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => parent,
+        _ => Path::new("."),
+    }
 }
 
 #[cfg(test)]
@@ -69,6 +76,16 @@ mod tests {
         atomic_replace(&path, b"old bytes").unwrap();
         atomic_replace(&path, b"").unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), b"");
+    }
+
+    #[test]
+    fn a_bare_file_name_syncs_the_current_directory() {
+        assert_eq!(parent_dir(Path::new("manifest")), Path::new("."));
+        assert_eq!(parent_dir(Path::new("./manifest")), Path::new("."));
+        assert_eq!(parent_dir(Path::new("db/manifest")), Path::new("db"));
+        assert_eq!(parent_dir(Path::new("/manifest")), Path::new("/"));
+        // The resolved directory is one `File::open` accepts.
+        assert!(std::fs::File::open(parent_dir(Path::new("manifest"))).is_ok());
     }
 
     #[test]
