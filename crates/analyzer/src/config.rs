@@ -47,6 +47,10 @@ pub struct Config {
     pub no_unwrap_exclude: Vec<String>,
     /// R5: crate path prefixes whose public APIs must use typed errors.
     pub typed_error_crates: Vec<String>,
+    /// R6: the files (relative to the scan root) allowed to contain `unsafe`;
+    /// an `unsafe` anywhere else is a violation, with or without a
+    /// `// SAFETY:` comment.
+    pub unsafe_allow: Vec<String>,
     /// Declared held-lock preconditions (see [`HoldsDecl`]).
     pub holds: Vec<HoldsDecl>,
 }
@@ -130,6 +134,7 @@ impl Config {
             ("rules.typed_errors", "crates") => {
                 self.typed_error_crates = parse_string_array(value)?;
             }
+            ("rules.unsafe_audit", "allow") => self.unsafe_allow = parse_string_array(value)?,
             ("[[holds]]", "function") => {
                 let f = parse_string(value)?;
                 match self.holds.last_mut() {
@@ -243,6 +248,9 @@ exclude = ["crates/bench"]
 [rules.typed_errors]
 crates = ["crates/core"]
 
+[rules.unsafe_audit]
+allow = ["crates/crypto/src/sha1/ni.rs"]
+
 [[holds]]
 function = "finish_commit"
 locks = ["state"]
@@ -261,6 +269,7 @@ locks = ["state"]
         assert_eq!(cfg.commit_roots, ["commit_shard"]);
         assert_eq!(cfg.no_unwrap_exclude, ["crates/bench"]);
         assert_eq!(cfg.typed_error_crates, ["crates/core"]);
+        assert_eq!(cfg.unsafe_allow, ["crates/crypto/src/sha1/ni.rs"]);
         assert_eq!(cfg.holds.len(), 1);
         assert_eq!(cfg.holds[0].function, "finish_commit");
         assert_eq!(cfg.holds[0].locks, ["state"]);

@@ -8,7 +8,7 @@
 //! | `panic-free-commit` | R3: no unwrap/expect/panic!/indexing on commit paths |
 //! | `no-unwrap-in-lib`  | R4: no `.unwrap()`/`.expect(` in library code |
 //! | `typed-errors`      | R5: public APIs return typed errors |
-//! | `unsafe-audit`      | R6: every `unsafe` carries a `// SAFETY:` comment |
+//! | `unsafe-audit`      | R6: `unsafe` only in allowlisted files, each with a `// SAFETY:` comment |
 //!
 //! R1/R2 use a per-function guard-region model: a `let g = field.read();`
 //! opens a region closed by `drop(g)`, by scope exit, or by moving `g` into a
@@ -60,7 +60,7 @@ pub fn check_all(files: &[SourceFile], cfg: &Config) -> Vec<Finding> {
         }
         check_no_unwrap(sf, cfg, &mut out);
         check_typed_errors(sf, cfg, &mut out);
-        check_unsafe_audit(sf, &mut out);
+        check_unsafe_audit(sf, cfg, &mut out);
         let _ = fi;
     }
     check_commit_paths(files, cfg, &summaries, &mut out);
@@ -783,10 +783,21 @@ fn stringly_error(slice: &[Tok]) -> Option<String> {
 // R6: unsafe-audit.
 // ---------------------------------------------------------------------------
 
-fn check_unsafe_audit(sf: &SourceFile, out: &mut Vec<Finding>) {
+fn check_unsafe_audit(sf: &SourceFile, cfg: &Config, out: &mut Vec<Finding>) {
+    let allowed = cfg.unsafe_allow.contains(&sf.rel_path);
     let lines: Vec<&str> = sf.raw.lines().collect();
     for (k, t) in sf.tokens.iter().enumerate() {
         if !t.is_ident("unsafe") || sf.is_exempt(k) {
+            continue;
+        }
+        if !allowed {
+            out.push(Finding {
+                rule: RULE_UNSAFE_AUDIT,
+                file: sf.rel_path.clone(),
+                line: t.line,
+                message: "`unsafe` outside the files `[rules.unsafe_audit] allow` lists"
+                    .to_string(),
+            });
             continue;
         }
         let line = t.line as usize; // 1-based
@@ -819,13 +830,18 @@ mod tests {
             commit_crate: ".".into(),
             commit_roots: vec!["commit_main".into()],
             typed_error_crates: vec![".".into()],
+            unsafe_allow: vec!["src/lib.rs".into()],
             ..Config::default()
         }
     }
 
-    fn findings(src: &str) -> Vec<Finding> {
-        let sf = SourceFile::parse("src/lib.rs", src.to_string());
+    fn findings_at(path: &str, src: &str) -> Vec<Finding> {
+        let sf = SourceFile::parse(path, src.to_string());
         check_all(&[sf], &test_cfg())
+    }
+
+    fn findings(src: &str) -> Vec<Finding> {
+        findings_at("src/lib.rs", src)
     }
 
     fn rules_of(src: &str) -> Vec<&'static str> {
@@ -933,5 +949,18 @@ mod tests {
         assert_eq!(rules_of(bad), [RULE_UNSAFE_AUDIT]);
         let good = "fn f() {\n    // SAFETY: provably unreachable per the check above\n    unsafe { core::hint::unreachable_unchecked() }\n}";
         assert!(rules_of(good).is_empty());
+    }
+
+    #[test]
+    fn unsafe_audit_allows_only_listed_files() {
+        // The same documented block is a violation in a file the allowlist
+        // does not name; a lint name or a comment mentioning it is not.
+        let documented = "fn f() {\n    // SAFETY: provably unreachable per the check above\n    unsafe { core::hint::unreachable_unchecked() }\n}";
+        let hits = findings_at("src/other.rs", documented);
+        assert_eq!(hits.len(), 1);
+        assert_eq!(hits[0].rule, RULE_UNSAFE_AUDIT);
+        assert!(hits[0].message.contains("allow"), "{}", hits[0].message);
+        let mentions = "#[allow(unsafe_code)]\nmod ni; // the only unsafe lives there";
+        assert!(findings_at("src/other.rs", mentions).is_empty());
     }
 }

@@ -35,7 +35,7 @@ fn findings_exit_one() {
     let out = check("bad.toml");
     assert_eq!(out.status.code(), Some(1), "{out:?}");
     let json = String::from_utf8_lossy(&out.stdout);
-    assert!(json.contains("\"violations\": 6"), "{json}");
+    assert!(json.contains("\"violations\": 7"), "{json}");
 }
 
 #[test]

@@ -26,6 +26,7 @@ fn bad_fixtures_fire_exactly_their_rule() {
         ("bad/r4_unwrap.rs", "no-unwrap-in-lib"),
         ("bad/r5_stringly.rs", "typed-errors"),
         ("bad/r6_unsafe.rs", "unsafe-audit"),
+        ("bad/r6_unsafe_unlisted.rs", "unsafe-audit"),
     ];
     assert_eq!(
         report.findings.len(),

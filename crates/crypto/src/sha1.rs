@@ -15,8 +15,8 @@
 //!   "Intel SHA Extensions", 2013), `sha1rnds4` / `sha1nexte` / `sha1msg1` /
 //!   `sha1msg2` run four rounds and four schedule words per instruction, with
 //!   the state held in vector registers across every whole block of an
-//!   [`Sha1::update`]. It lives in a private module, the one place in the
-//!   workspace allowed `unsafe` (`docs/invariants.md`, R6).
+//!   [`Sha1::update`]. It lives in a private module, one of the two places in
+//!   the workspace allowed `unsafe` (`docs/invariants.md`, R6).
 //! * **`scalar`** — portable Rust everywhere else: a 16-word rolling message
 //!   schedule and fully unrolled rounds, reading blocks straight from the
 //!   input.

@@ -14,6 +14,7 @@
 
 use sae_core::ShardSlice;
 use sae_crypto::{Digest, DIGEST_LEN};
+use sae_storage::crc32::crc32;
 use sae_workload::RangeQuery;
 use std::io::{Read, Write};
 
@@ -326,6 +327,38 @@ impl Message {
         }
     }
 
+    /// Converts an engine-produced [`ShardSlice`] into its wire message,
+    /// taking its records without copying them. `None` when the slice
+    /// exceeds the frame cap (the server turns that refusal into
+    /// [`code::RESPONSE_TOO_LARGE`]).
+    pub fn from_slice(slice: ShardSlice, record_len: usize, epoch: u64) -> Option<Message> {
+        let message = Message::Slice {
+            shard: slice.shard as u32,
+            record_len: record_len as u32,
+            epoch,
+            records: slice.records,
+            vt: slice.vt,
+        };
+        (2 + message.body_len() <= MAX_FRAME_PAYLOAD).then_some(message)
+    }
+
+    /// Bytes [`Message::encode_body`] writes.
+    fn body_len(&self) -> usize {
+        match self {
+            Message::Query { .. } | Message::FetchTail { .. } => 12,
+            Message::Slice { records, .. } => {
+                20 + DIGEST_LEN + records.iter().map(Vec::len).sum::<usize>()
+            }
+            Message::Error { detail, .. } => 3 + detail.len(),
+            Message::Ping | Message::Pong => 0,
+            Message::Status { .. } => 4,
+            Message::StatusInfo { .. } => 13,
+            Message::FetchSnapshot { .. } => 8,
+            Message::SnapshotChunk { bytes, .. } => 20 + bytes.len(),
+            Message::Tail { bytes, .. } => 4 + bytes.len(),
+        }
+    }
+
     /// Encodes the body (everything after the `[version, msg_type]` prefix).
     fn encode_body(&self, out: &mut Vec<u8>) {
         match self {
@@ -572,15 +605,20 @@ fn decode_u32s<const N: usize>(body: &[u8], what: &'static str) -> NetResult<[u3
 }
 
 /// Encodes one message as a complete frame: header, CRC, versioned payload.
+/// The payload is written once, into a buffer of exactly the frame's size,
+/// behind a placeholder header that is then back-patched with the length and
+/// the CRC computed where the payload sits.
 pub fn encode_frame(message: &Message) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(64);
-    payload.push(WIRE_VERSION);
-    payload.push(message.tag());
-    message.encode_body(&mut payload);
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&sae_storage::wal::crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    let len = 2 + message.body_len();
+    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + len);
+    out.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+    out.push(WIRE_VERSION);
+    out.push(message.tag());
+    message.encode_body(&mut out);
+    let (header, payload) = out.split_at_mut(FRAME_HEADER_LEN);
+    debug_assert_eq!(payload.len(), len, "body_len disagrees with encode_body");
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
     out
 }
 
@@ -613,7 +651,7 @@ pub fn decode_frame(bytes: &[u8]) -> NetResult<(Message, usize)> {
         });
     }
     let payload = &bytes[FRAME_HEADER_LEN..total];
-    if sae_storage::wal::crc32(payload) != u32::from_le_bytes(crc_bytes) {
+    if crc32(payload) != u32::from_le_bytes(crc_bytes) {
         return Err(NetError::CrcMismatch);
     }
     Ok((Message::decode(payload)?, total))
@@ -653,27 +691,15 @@ pub fn read_frame<R: Read>(r: &mut R) -> NetResult<(Message, usize)> {
     }
     let mut payload = vec![0u8; len];
     r.read_exact(&mut payload)?;
-    if sae_storage::wal::crc32(&payload) != u32::from_le_bytes(crc_bytes) {
+    if crc32(&payload) != u32::from_le_bytes(crc_bytes) {
         return Err(NetError::CrcMismatch);
     }
     Ok((Message::decode(&payload)?, FRAME_HEADER_LEN + len))
 }
 
-/// Converts an engine-produced [`ShardSlice`] into its wire message,
-/// refusing slices that exceed the frame cap (the server turns that refusal
-/// into [`code::RESPONSE_TOO_LARGE`]).
+/// [`Message::from_slice`] for a borrowed slice: clones its records.
 pub fn slice_to_message(slice: &ShardSlice, record_len: usize, epoch: u64) -> Option<Message> {
-    let body = 2 + 20 + DIGEST_LEN + slice.records.iter().map(Vec::len).sum::<usize>();
-    if body > MAX_FRAME_PAYLOAD {
-        return None;
-    }
-    Some(Message::Slice {
-        shard: slice.shard as u32,
-        record_len: record_len as u32,
-        epoch,
-        records: slice.records.clone(),
-        vt: slice.vt,
-    })
+    Message::from_slice(slice.clone(), record_len, epoch)
 }
 
 #[cfg(test)]
@@ -755,6 +781,71 @@ mod tests {
     }
 
     #[test]
+    fn frames_match_the_documented_worked_example() {
+        // `docs/protocol.md`, "Worked example": both take the table path.
+        let query = encode_frame(&Message::Query {
+            shard: 1,
+            range: RangeQuery::new(600, 1337),
+        });
+        assert_eq!(
+            query,
+            [
+                0x0e, 0x00, 0x00, 0x00, 0xc1, 0x81, 0x33, 0x90, 0x01, 0x01, 0x01, 0x00, 0x00, 0x00,
+                0x58, 0x02, 0x00, 0x00, 0x39, 0x05, 0x00, 0x00,
+            ]
+        );
+        assert_eq!(
+            encode_frame(&Message::Ping),
+            [0x02, 0x00, 0x00, 0x00, 0xa7, 0xe7, 0xaf, 0x5f, 0x01, 0x04]
+        );
+    }
+
+    #[test]
+    fn a_wide_slice_frame_round_trips() {
+        // `net_wide`'s shape: 1 000 records of 500 B, so the CRC takes the
+        // fold path wherever the CPU has one (`sae-storage` holds both
+        // backends to the bitwise reference).
+        let records: Vec<Vec<u8>> = (0..1000u32)
+            .map(|i| (0..500u32).map(|j| (i * 31 + j * 7) as u8).collect())
+            .collect();
+        let message = Message::Slice {
+            shard: 1,
+            record_len: 500,
+            epoch: 9,
+            records,
+            vt: Digest::new([3u8; DIGEST_LEN]),
+        };
+        let frame = encode_frame(&message);
+        let payload_len = 2 + 20 + DIGEST_LEN + 1000 * 500;
+        assert_eq!(frame.len(), FRAME_HEADER_LEN + payload_len);
+        assert_eq!(frame[..4], (payload_len as u32).to_le_bytes());
+        assert_eq!(frame[4..8], crc32(&frame[FRAME_HEADER_LEN..]).to_le_bytes());
+        assert_eq!(decode_frame(&frame).unwrap(), (message, frame.len()));
+    }
+
+    #[test]
+    fn from_slice_refuses_exactly_what_exceeds_the_cap() {
+        let header = 2 + 20 + DIGEST_LEN;
+        let slice = |len: usize| ShardSlice {
+            shard: 0,
+            records: vec![vec![0u8; len]],
+            vt: Digest::ZERO,
+        };
+        let fits = MAX_FRAME_PAYLOAD - header;
+        let message = Message::from_slice(slice(fits), fits, 4).expect("fits the cap");
+        assert_eq!(
+            encode_frame(&message).len(),
+            FRAME_HEADER_LEN + MAX_FRAME_PAYLOAD
+        );
+        assert!(Message::from_slice(slice(fits + 1), fits + 1, 4).is_none());
+        assert!(slice_to_message(&slice(fits + 1), fits + 1, 4).is_none());
+        assert_eq!(
+            slice_to_message(&slice(1), 1, 4),
+            Message::from_slice(slice(1), 1, 4)
+        );
+    }
+
+    #[test]
     fn snapshot_chunk_indices_are_validated() {
         // chunks == 0 and chunk >= chunks are both malformed.
         for (chunk, chunks) in [(0u32, 0u32), (5, 5), (6, 5)] {
@@ -787,7 +878,7 @@ mod tests {
         let mut frame = encode_frame(&Message::Ping);
         frame[FRAME_HEADER_LEN] = 9; // version byte
                                      // Re-seal the CRC so only the version is wrong.
-        let crc = sae_storage::wal::crc32(&frame[FRAME_HEADER_LEN..]);
+        let crc = crc32(&frame[FRAME_HEADER_LEN..]);
         frame[4..8].copy_from_slice(&crc.to_le_bytes());
         assert!(matches!(
             decode_frame(&frame),

@@ -23,8 +23,7 @@
 //! every live connection and joins every worker thread.
 
 use crate::frame::{
-    code, read_frame, slice_to_message, write_frame, Message, NetError, NetResult,
-    MAX_FRAME_PAYLOAD, WIRE_VERSION,
+    code, read_frame, write_frame, Message, NetError, NetResult, MAX_FRAME_PAYLOAD, WIRE_VERSION,
 };
 use crate::source::SliceSource;
 use parking_lot::Mutex;
@@ -503,7 +502,7 @@ fn answer_query(shard: u32, range: &sae_workload::RangeQuery, shared: &Shared) -
     }
     shared.stats.queries.fetch_add(1, Ordering::Relaxed);
     let record_len = slice.records.first().map_or(0, Vec::len);
-    match slice_to_message(&slice, record_len, epoch) {
+    match Message::from_slice(slice, record_len, epoch) {
         Some(message) => message,
         None => error_message(
             code::RESPONSE_TOO_LARGE,

@@ -22,6 +22,8 @@
 //!   [`manifest::Manifest`] header page, per-pager-file
 //!   [`manifest::ShardHeader`] identity/epoch pages, and the
 //!   [`manifest::PageDirectory`] chains persisting heap page tables.
+//! * [`mod@crc32`] — the CRC-32/IEEE every WAL and wire frame carries, on
+//!   carry-less multiplication where the CPU has it.
 //! * [`wal`] — the per-shard write-ahead log: CRC-framed sequential records
 //!   appended and fsynced *before* any page write, with torn-tail-tolerant
 //!   scans ([`wal::scan_log`]) and checkpoint-time segment rotation.
@@ -37,6 +39,7 @@
 
 pub mod atomic_replace;
 pub mod buffer_pool;
+pub mod crc32;
 pub mod error;
 pub mod heap_file;
 pub mod manifest;

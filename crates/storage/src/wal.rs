@@ -16,7 +16,7 @@
 //! payload:= [tag: u8] [body]
 //! ```
 //!
-//! `crc32` is CRC-32/IEEE over the payload. Records, by tag:
+//! `crc32` is CRC-32/IEEE over the payload ([`crate::crc32`]). Records, by tag:
 //!
 //! | tag | record         | body                                           |
 //! |-----|----------------|------------------------------------------------|
@@ -72,36 +72,7 @@ const FRAME_HEADER_LEN: usize = 8;
 /// garbage, rejected before allocation.
 const MAX_FRAME_PAYLOAD: usize = 1 + 1 + 8 + PAGE_SIZE;
 
-const fn crc32_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut crc = i as u32;
-        let mut j = 0;
-        while j < 8 {
-            crc = if crc & 1 != 0 {
-                0xEDB8_8320 ^ (crc >> 1)
-            } else {
-                crc >> 1
-            };
-            j += 1;
-        }
-        table[i] = crc;
-        i += 1;
-    }
-    table
-}
-
-const CRC32_TABLE: [u32; 256] = crc32_table();
-
-/// CRC-32/IEEE over `bytes` (the polynomial used by zip, PNG and ethernet).
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        crc = CRC32_TABLE[((crc ^ b as u32) & 0xFF) as usize] ^ (crc >> 8);
-    }
-    !crc
-}
+pub use crate::crc32::crc32;
 
 /// One WAL record. See the module docs for the on-disk layout.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -144,44 +115,45 @@ pub enum WalRecord {
     },
 }
 
-fn encode_payload(record: &WalRecord) -> Vec<u8> {
+/// Bytes [`encode_payload`] writes for `record`, tag included.
+fn payload_len(record: &WalRecord) -> usize {
+    1 + match record {
+        WalRecord::Seg { .. } | WalRecord::Begin { .. } => 8,
+        WalRecord::PageImage { .. } => 1 + 8 + PAGE_SIZE,
+        WalRecord::HeapDirEntry { .. } => 16,
+        WalRecord::Commit { .. } => SHARD_META_LEN,
+    }
+}
+
+/// Appends `record`'s payload (tag and body) to `out`.
+fn encode_payload(record: &WalRecord, out: &mut Vec<u8>) {
     match record {
         WalRecord::Seg { base_epoch } => {
-            let mut out = Vec::with_capacity(9);
             out.push(TAG_SEG);
             out.extend_from_slice(&base_epoch.to_le_bytes());
-            out
         }
         WalRecord::Begin { epoch } => {
-            let mut out = Vec::with_capacity(9);
             out.push(TAG_BEGIN);
             out.extend_from_slice(&epoch.to_le_bytes());
-            out
         }
         WalRecord::PageImage {
             party,
             page_id,
             image,
         } => {
-            let mut out = Vec::with_capacity(MAX_FRAME_PAYLOAD);
             out.push(TAG_PAGE_IMAGE);
             out.push(party.code());
             out.extend_from_slice(&page_id.0.to_le_bytes());
             out.extend_from_slice(image.as_slice());
-            out
         }
         WalRecord::HeapDirEntry { index, page_id } => {
-            let mut out = Vec::with_capacity(17);
             out.push(TAG_HEAP_DIR_ENTRY);
             out.extend_from_slice(&index.to_le_bytes());
             out.extend_from_slice(&page_id.0.to_le_bytes());
-            out
         }
         WalRecord::Commit { meta } => {
-            let mut out = Vec::with_capacity(1 + SHARD_META_LEN);
             out.push(TAG_COMMIT);
             out.extend_from_slice(&meta.to_bytes());
-            out
         }
     }
 }
@@ -225,23 +197,44 @@ fn decode_payload(payload: &[u8]) -> Option<WalRecord> {
     }
 }
 
+/// Appends `record` to `out` as one complete frame (header + CRC + payload).
+/// The payload is encoded in place behind a placeholder header, which is
+/// then back-patched with its length and CRC: no intermediate copy.
+fn encode_frame_into(record: &WalRecord, out: &mut Vec<u8>) {
+    let len = payload_len(record);
+    out.reserve(FRAME_HEADER_LEN + len);
+    let start = out.len();
+    out.extend_from_slice(&[0; FRAME_HEADER_LEN]);
+    encode_payload(record, out);
+    let (header, payload) = out[start..].split_at_mut(FRAME_HEADER_LEN);
+    debug_assert_eq!(
+        payload.len(),
+        len,
+        "payload_len disagrees with encode_payload"
+    );
+    header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
+}
+
 /// Encodes `record` into one complete frame (header + CRC + payload).
 pub fn encode_frame(record: &WalRecord) -> Vec<u8> {
-    let payload = encode_payload(record);
-    let mut out = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-    out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&crc32(&payload).to_le_bytes());
-    out.extend_from_slice(&payload);
+    let mut out = Vec::new();
+    encode_frame_into(record, &mut out);
     out
 }
 
 /// Encodes `records` as one contiguous run of frames — the byte layout a
 /// [`scan_log`] of the result decodes back. Used by the replication layer
-/// to synthesize snapshot and WAL-tail streams in the exact on-disk format.
+/// to synthesize snapshot and WAL-tail streams in the exact on-disk format,
+/// and by [`WalWriter::append`].
 pub fn encode_records(records: &[WalRecord]) -> Vec<u8> {
-    let mut out = Vec::new();
+    let total = records
+        .iter()
+        .map(|record| FRAME_HEADER_LEN + payload_len(record))
+        .sum();
+    let mut out = Vec::with_capacity(total);
     for record in records {
-        out.extend_from_slice(&encode_frame(record));
+        encode_frame_into(record, &mut out);
     }
     out
 }
@@ -418,10 +411,7 @@ impl WalWriter {
     /// valid-looking transactions after garbage); only
     /// [`WalWriter::rotate`] clears the poisoning.
     pub fn append(&self, records: &[WalRecord]) -> StorageResult<()> {
-        let mut buf = Vec::new();
-        for record in records {
-            buf.extend_from_slice(&encode_frame(record));
-        }
+        let buf = encode_records(records);
         let mut inner = self.wal.lock();
         if let Some(msg) = &inner.poisoned {
             return Err(StorageError::Io(std::io::Error::other(format!(
@@ -544,10 +534,14 @@ mod tests {
 
     #[test]
     fn crc32_matches_known_answers() {
-        // CRC-32/IEEE check values: the classic "123456789" vector and the
-        // empty string.
+        // CRC-32/IEEE check values: the classic "123456789" vector, the
+        // empty string and the pangram.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(
+            crc32(b"The quick brown fox jumps over the lazy dog"),
+            0x414F_A339
+        );
     }
 
     #[test]

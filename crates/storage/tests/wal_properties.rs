@@ -7,7 +7,7 @@
 //! fabricates a transaction that was not fully appended.
 
 use proptest::prelude::*;
-use sae_storage::wal::{decode_frame, encode_frame, scan_log, WalRecord};
+use sae_storage::wal::{crc32, decode_frame, encode_frame, scan_log, WalRecord};
 use sae_storage::{Page, PageId, Party, ShardMeta, TreeMeta, PAGE_SIZE};
 
 /// One transaction's inputs: its page after-images plus committed metadata.
@@ -145,8 +145,33 @@ fn arb_committed_log() -> impl Strategy<Value = (Vec<u8>, Vec<usize>, u64)> {
         })
 }
 
+/// CRC-32/IEEE by its definition, one bit at a time and without tables.
+fn reference_crc32(bytes: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in bytes {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = (crc >> 1) ^ (0xEDB8_8320 & (crc & 1).wrapping_neg());
+        }
+    }
+    !crc
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    // --- Checksum -----------------------------------------------------------
+
+    /// Whichever backend this CPU dispatches to, the checksum is the
+    /// definition's, so frame bytes never depend on the machine.
+    #[test]
+    fn crc32_matches_the_bitwise_definition(
+        bytes in prop::collection::vec(any::<u8>(), 0..16 * 1024 + 1),
+        offset in 0usize..16,
+    ) {
+        let input = &bytes[offset.min(bytes.len())..];
+        prop_assert_eq!(crc32(input), reference_crc32(input));
+    }
 
     // --- Frame codec --------------------------------------------------------
 
