@@ -1818,7 +1818,7 @@ pub struct FanoutConfig {
     /// Measured span-all-shards queries per fan-out leg.
     pub fanout_queries: usize,
     /// Simulated per-query service time on every fan-out server — the wait
-    /// the concurrent dispatch must overlap.
+    /// the pipelined fan-out must overlap.
     pub service_delay_micros: u64,
     /// Measured queries per hedge leg.
     pub hedge_queries: usize,
@@ -1947,12 +1947,13 @@ fn fanout_leg(
 /// Experiment E16: the concurrent scatter phase and true hedged reads.
 ///
 /// Fan-out legs: one delayed `ShardServer` per shard (every query waits
-/// `service_delay` at every endpoint), span-all-shards queries dispatched
-/// sequentially vs concurrently by the *same* `NetClient` code — the
-/// concurrent leg must pay roughly the max of the per-shard waits instead
-/// of their sum. Hedge legs: one shard behind a fast and a deliberately
-/// slow replica; the round-robin cursor makes half the unhedged queries pay
-/// the slow replica's full service time, while the hedged client races the
+/// `service_delay` at every endpoint), span-all-shards queries fetched
+/// sequentially (send one, read one) vs pipelined (send all, then read)
+/// by the *same* `NetClient` code — the concurrent leg must pay roughly
+/// the max of the per-shard waits instead of their sum. Hedge legs: one
+/// shard behind a fast and a deliberately slow replica; the round-robin
+/// cursor makes half the unhedged queries pay the slow replica's full
+/// service time, while the hedged client races the
 /// fast sibling after `hedge_timeout` and takes the first valid slice —
 /// p99 must drop. Every slice on every leg passes the shared
 /// `verify_slices`.
@@ -1967,7 +1968,7 @@ pub fn run_fanout(config: &FanoutConfig) -> Vec<FanoutRow> {
     let domain = KeyDistribution::unf().domain();
     let full = RangeQuery::new(0, domain);
 
-    // --- Fan-out legs: sequential vs concurrent dispatch over one delayed
+    // --- Fan-out legs: sequential vs pipelined fetches over one delayed
     // server per shard.
     let engine = Arc::new(
         ShardedSaeEngine::build_in_memory(&dataset, HashAlgorithm::Sha1, config.shards)

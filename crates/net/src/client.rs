@@ -10,12 +10,17 @@
 //! *same* function the in-process engine runs. There is no separate, weaker
 //! "network verification".
 //!
-//! The scatter phase actually scatters: `query` dispatches one fetch job
-//! per overlapping shard onto a small reusable worker pool and gathers the
-//! slices over a channel, so a query spanning S shards pays roughly the
-//! *max* of the per-shard round trips instead of their sum. Only the stitch
-//! and the `verify_slices` verdict run on the caller thread. Failover and
-//! stale-refetch legs re-dispatch concurrently the same way.
+//! The scatter phase actually scatters, without handing the query to
+//! another thread: an un-hedged wave of fetch jobs (the first wave, and each
+//! refetch wave after a failed verification) runs on the caller thread as a
+//! pipelined scatter. Its send phase writes every job's `QUERY` before its
+//! receive phase reads any answer, so the servers work on all shards at once
+//! and a query spanning S shards pays roughly the *slowest* round trip, not
+//! their sum — and a single-shard point query pays one round trip with no
+//! thread hop. Answers are read in slot order; a failed leg's failover and
+//! a stale slice's sibling pass continue inline from there. Only a wave
+//! that can hedge goes to a small worker pool, whose jobs race detached
+//! hedge legs.
 //!
 //! Replicas change *availability*, never *trust*: every endpoint is equally
 //! untrusted, so failover needs no handshake — a replica that is down,
@@ -24,8 +29,9 @@
 //! re-issued to a sibling, whose slice faces the exact same token
 //! verification. An honest refusal is not a fault: a `RESPONSE_TOO_LARGE`
 //! answer (the slice exceeds the frame cap, which every replica would
-//! refuse alike) is recorded as an endpoint error but demotes nobody. A
-//! merely *slow* replica is hedged, not demoted: with
+//! refuse alike) or a `NOT_SYNCED` one (a replica still installing its
+//! snapshot) is recorded as an endpoint error and a sibling is asked, but
+//! nobody is demoted. A merely *slow* replica is hedged, not demoted: with
 //! [`NetClientConfig::hedge_timeout`] set, a sibling is raced after the
 //! window expires and the first valid slice wins, while the loser drains in
 //! the background and returns its connection to the pool. Demoted endpoints
@@ -70,10 +76,10 @@ pub struct NetClientConfig {
     /// queries, re-admitting demoted replicas that answer a `Ping` again.
     /// 0 (the default) disables auto-probing.
     pub probe_every: usize,
-    /// Dispatch per-shard fetch jobs one at a time on the caller thread
-    /// instead of concurrently on the worker pool. Off by default; exists
-    /// as the measured baseline for the E16 fan-out experiment and for
-    /// debugging.
+    /// Fetch shard by shard: send one request and read its answer before
+    /// sending the next, instead of sending every shard's request before
+    /// reading any answer. Off by default; exists as the measured baseline
+    /// for the E16 fan-out experiment and for debugging.
     pub sequential_fanout: bool,
 }
 
@@ -96,8 +102,8 @@ impl Default for NetClientConfig {
 ///
 /// Connections are owned handles in a shared pool: a fetch leg *checks out*
 /// the endpoint's pooled connection (or dials its own), uses it exclusively,
-/// and returns it on success — so concurrent legs never interleave frames
-/// on one socket. A connection that errors is discarded; for transport
+/// and returns it on success — so legs in flight at once never interleave
+/// frames on one socket. A connection that errors is discarded; for transport
 /// errors on a pooled connection the same endpoint is re-dialled once
 /// before its replica is demoted and a sibling tried.
 ///
@@ -116,11 +122,11 @@ pub struct NetClient {
     since_probe: usize,
 }
 
-/// State shared between the caller thread, pool workers, and detached hedge
-/// legs. Each field has its own mutex and none is ever held while another
-/// is acquired (enforced by the `jobs`/`pool`/`demoted`/`cursor` lock ranks
-/// in `analyzer.toml`): every access copies data out or mutates in place
-/// within a single statement.
+/// State shared between the caller thread, the pool workers of hedged
+/// waves, and detached hedge legs. Each field has its own mutex and none is
+/// ever held while another is acquired (enforced by the
+/// `jobs`/`pool`/`demoted`/`cursor` lock ranks in `analyzer.toml`): every
+/// access copies data out or mutates in place within a single statement.
 struct ClientShared {
     topology: Topology,
     cfg: NetClientConfig,
@@ -135,10 +141,10 @@ struct ClientShared {
 /// A boxed fetch job for the worker pool.
 type Job = Box<dyn FnOnce() + Send + 'static>;
 
-/// A small reusable worker pool over `std::sync::mpsc`: per-query fetch
-/// jobs and probe pings run here. Hedge legs do NOT — a leg abandoned to
-/// drain in the background must never occupy a pool slot, so legs are
-/// detached threads (see `spawn_leg`).
+/// A small reusable worker pool over `std::sync::mpsc`: the fetch jobs of
+/// hedged waves and probe pings run here. Hedge legs do NOT — a leg
+/// abandoned to drain in the background must never occupy a pool slot, so
+/// legs are detached threads (see `spawn_leg`).
 struct WorkerPool {
     tx: Option<mpsc::Sender<Job>>,
     threads: Vec<std::thread::JoinHandle<()>>,
@@ -258,7 +264,7 @@ impl NetQueryOutcome {
     }
 }
 
-/// One per-shard fetch job as dispatched to the worker pool.
+/// One per-shard fetch job of a wave.
 struct FetchJob {
     /// Index into the query's expected-shard table (slot to fill).
     at: usize,
@@ -272,7 +278,7 @@ struct FetchJob {
     attempts: usize,
 }
 
-/// What one fetch job produced, sent back over the gather channel.
+/// What one fetch job produced.
 struct FetchDone {
     at: usize,
     shard: usize,
@@ -467,9 +473,9 @@ impl NetClient {
     /// and its siblings tried; only when a whole replica group fails does
     /// the shard surface in the verdict as missing.
     ///
-    /// The per-shard fetch jobs run concurrently on the worker pool (see
-    /// the module docs); the stitch and the [`sae_core::verify_slices`]
-    /// verdict run here on the caller thread.
+    /// The per-shard fetch jobs are in flight at once (see the module
+    /// docs); the stitch and the [`sae_core::verify_slices`] verdict run
+    /// here on the caller thread.
     pub fn query(&mut self, q: &RangeQuery) -> NetQueryOutcome {
         // Housekeeping runs before the clock starts: latency stats measure
         // the query, not the periodic probe sweep.
@@ -509,7 +515,7 @@ impl NetClient {
             }
         }
         // Verify; on per-slice failures demote every failing source and
-        // refetch all of them from untried siblings concurrently, then
+        // refetch all of them from untried siblings in one wave, then
         // re-verify. Each leg consumes an endpoint from the shard's `tried`
         // set, so the loop is bounded by group size.
         let verdict = loop {
@@ -519,7 +525,7 @@ impl NetClient {
             }
             // Identify *every* failing slice with the same per-slice check
             // `verify_slices` applies, so all bad shards refetch in one
-            // concurrent wave instead of one verify round each.
+            // wave instead of one verify round each.
             let bad: Vec<usize> = gathered
                 .iter()
                 .enumerate()
@@ -592,22 +598,35 @@ impl NetClient {
         }
     }
 
-    /// Runs one wave of fetch jobs — concurrently on the worker pool, or
-    /// inline when [`NetClientConfig::sequential_fanout`] is set — merging
-    /// every job's counters and returning the results sorted by slot.
-    fn run_jobs(&self, jobs: Vec<FetchJob>, counters: &mut QueryCounters) -> Vec<FetchDone> {
-        let mut out: Vec<FetchDone> = if self.shared.cfg.sequential_fanout {
-            jobs.into_iter()
-                .map(|job| fetch_shard(&self.shared, job))
-                .collect()
-        } else {
+    /// Runs one wave of fetch jobs, merging every job's counters and
+    /// returning the results sorted by slot.
+    ///
+    /// A wave that cannot hedge (no [`NetClientConfig::hedge_timeout`], or
+    /// no job's shard has a sibling to hedge to) runs on the caller thread
+    /// as a pipelined scatter: the send phase checks out (or dials) each
+    /// job's first endpoint and writes its `QUERY`, then the receive phase
+    /// reads the answers in slot order, each through the full fetch logic —
+    /// classification, one-retry redial, demotion, stale refusal and
+    /// failover to untried siblings. A wave that can hedge runs its jobs on
+    /// the worker pool, whose jobs race detached hedge legs. With
+    /// [`NetClientConfig::sequential_fanout`] every wave stays on the caller
+    /// thread and nothing is sent ahead: each job sends one request and
+    /// reads its answer before the next job starts.
+    fn run_jobs(&self, mut jobs: Vec<FetchJob>, counters: &mut QueryCounters) -> Vec<FetchDone> {
+        let shared = &self.shared;
+        let hedged = shared.cfg.hedge_timeout.is_some()
+            && jobs
+                .iter()
+                .any(|job| shared.topology.replicas(job.shard).len() > 1);
+        let sequential = shared.cfg.sequential_fanout;
+        let mut out: Vec<FetchDone> = if hedged && !sequential {
             let (tx, rx) = mpsc::channel();
             let expected = jobs.len();
             for job in jobs {
                 let shared = Arc::clone(&self.shared);
                 let tx = tx.clone();
                 self.workers.submit(Box::new(move || {
-                    drop(tx.send(fetch_shard(&shared, job)));
+                    drop(tx.send(fetch_shard(&shared, job, None)));
                 }));
             }
             drop(tx);
@@ -616,6 +635,22 @@ impl NetClient {
                 out.push(done);
             }
             out
+        } else {
+            // Send phase: unless sequential, write every job's first
+            // request before reading any answer.
+            let opened: Vec<Option<FetchPass<'_>>> = jobs
+                .iter_mut()
+                .map(|job| {
+                    (!sequential).then(|| {
+                        FetchPass::open(shared, job.shard, &job.sub).send_ahead(&mut job.tried)
+                    })
+                })
+                .collect();
+            // Receive phase, in slot order.
+            jobs.into_iter()
+                .zip(opened)
+                .map(|(job, pass)| fetch_shard(shared, job, pass))
+                .collect()
         };
         out.sort_by_key(|d| d.at);
         for d in &mut out {
@@ -629,8 +664,13 @@ impl NetClient {
 /// advertising an epoch below the shard's verified high-water mark demotes
 /// its replica and a sibling is consulted, until a fresh slice arrives or
 /// the group is exhausted (then a typed [`NetError::StaleSlice`] is
-/// recorded and the shard left unanswered). Runs on a worker thread.
-fn fetch_shard(shared: &Arc<ClientShared>, job: FetchJob) -> FetchDone {
+/// recorded and the shard left unanswered). `opened` is the first pass when
+/// the wave's send phase already opened it and wrote its first request.
+fn fetch_shard<'a>(
+    shared: &'a Arc<ClientShared>,
+    job: FetchJob,
+    mut opened: Option<FetchPass<'a>>,
+) -> FetchDone {
     let FetchJob {
         at,
         shard,
@@ -652,9 +692,14 @@ fn fetch_shard(shared: &Arc<ClientShared>, job: FetchJob) -> FetchDone {
     };
     let mut freshest = 0u64;
     let mut budget = attempts;
-    while let Some((slice, source, epoch)) =
-        fetch_once(shared, shard, &sub, &mut tried, &mut counters, budget)
-    {
+    while let Some((slice, source, epoch)) = fetch_once(
+        opened
+            .take()
+            .unwrap_or_else(|| FetchPass::open(shared, shard, &sub)),
+        &mut tried,
+        &mut counters,
+        budget,
+    ) {
         if epoch >= floor {
             out.slice = Some(slice);
             out.source = Some(source);
@@ -698,8 +743,47 @@ struct FetchPass<'a> {
     request: Message,
     /// Candidate ordering for this pass (round-robin rotation and demotion
     /// preference as of pass entry — the cursor bump applies to the *next*
-    /// pass, so concurrent shards rotate independently).
+    /// pass, so the shards of one wave rotate independently).
     ordered: Vec<String>,
+    /// The first attempt's endpoint and its already-written request, when
+    /// the wave's send phase claimed it (see [`FetchPass::send_ahead`]).
+    sent: Option<(String, NetResult<Pending>)>,
+}
+
+impl<'a> FetchPass<'a> {
+    /// Opens a pass over `shard`'s candidates and advances its round-robin
+    /// cursor for the next pass.
+    fn open(shared: &'a Arc<ClientShared>, shard: usize, sub: &RangeQuery) -> FetchPass<'a> {
+        let pass = FetchPass {
+            shared,
+            shard,
+            request: Message::Query {
+                shard: shard as u32,
+                range: *sub,
+            },
+            ordered: candidates(shared, shard),
+            sent: None,
+        };
+        advance_cursor(shared, shard);
+        pass
+    }
+
+    /// Claims the next candidate not yet consulted for this shard.
+    fn claim(&self, tried: &mut HashSet<String>) -> Option<String> {
+        let endpoint = self.ordered.iter().find(|e| !tried.contains(*e)).cloned()?;
+        tried.insert(endpoint.clone());
+        Some(endpoint)
+    }
+
+    /// Claims the first candidate and writes its request now, before any
+    /// answer of the wave is read; [`fetch_once`] reads the answer later.
+    fn send_ahead(mut self, tried: &mut HashSet<String>) -> FetchPass<'a> {
+        if let Some(endpoint) = self.claim(tried) {
+            let pending = send(self.shared, &endpoint, &self.request);
+            self.sent = Some((endpoint, pending));
+        }
+        self
+    }
 }
 
 /// One failover pass for a shard: try up to `attempts` untried replicas
@@ -708,34 +792,27 @@ struct FetchPass<'a> {
 /// sibling exists to hedge *to*; erroring endpoints are demoted by the leg
 /// that observed the error.
 fn fetch_once(
-    shared: &Arc<ClientShared>,
-    shard: usize,
-    sub: &RangeQuery,
+    mut pass: FetchPass<'_>,
     tried: &mut HashSet<String>,
     counters: &mut QueryCounters,
     attempts: usize,
 ) -> Option<(ShardSlice, String, u64)> {
-    let pass = FetchPass {
-        shared,
-        shard,
-        request: Message::Query {
-            shard: shard as u32,
-            range: *sub,
-        },
-        ordered: candidates(shared, shard),
-    };
-    advance_cursor(shared, shard);
-    let group = shared.topology.replicas(shard).len();
+    let group = pass.shared.topology.replicas(pass.shard).len();
     for attempt in 0..attempts.max(1) {
-        let endpoint = pass.ordered.iter().find(|e| !tried.contains(*e)).cloned()?;
-        tried.insert(endpoint.clone());
-        let hedge = match shared.cfg.hedge_timeout {
-            Some(window) if attempt == 0 && group > 1 => Some(window),
-            _ => None,
-        };
-        let won = match hedge {
-            Some(window) => hedged_fetch(&pass, endpoint, window, tried, counters),
-            None => plain_fetch(&pass, endpoint, counters),
+        let won = match pass.sent.take() {
+            Some((endpoint, pending)) => plain_fetch(&pass, endpoint, pending, counters),
+            None => {
+                let endpoint = pass.claim(tried)?;
+                match pass.shared.cfg.hedge_timeout {
+                    Some(window) if attempt == 0 && group > 1 => {
+                        hedged_fetch(&pass, endpoint, window, tried, counters)
+                    }
+                    _ => {
+                        let pending = send(pass.shared, &endpoint, &pass.request);
+                        plain_fetch(&pass, endpoint, pending, counters)
+                    }
+                }
+            }
         };
         if won.is_some() {
             return won;
@@ -747,18 +824,15 @@ fn fetch_once(
     None
 }
 
-/// One ordinary (non-hedged) leg, run inline on the calling worker.
+/// One ordinary (non-hedged) leg over a request already written, run on
+/// the thread that runs the job.
 fn plain_fetch(
     pass: &FetchPass<'_>,
     endpoint: String,
+    pending: NetResult<Pending>,
     counters: &mut QueryCounters,
 ) -> Option<(ShardSlice, String, u64)> {
-    let leg = request_leg(
-        pass.shared,
-        endpoint,
-        &pass.request,
-        pass.shared.cfg.read_timeout,
-    );
+    let leg = request_leg(pass.shared, endpoint, &pass.request, pending);
     counters.bytes_sent += leg.bytes_sent;
     counters.bytes_received += leg.bytes_received;
     match leg.outcome {
@@ -790,7 +864,8 @@ fn hedged_fetch(
     } else {
         // Thread spawn failed (resource exhaustion): degrade to an
         // ordinary non-hedged leg rather than dropping the attempt.
-        return plain_fetch(pass, endpoint, counters);
+        let pending = send(pass.shared, &endpoint, &pass.request);
+        return plain_fetch(pass, endpoint, pending, counters);
     }
     let mut hedged = false;
     let mut wait = window;
@@ -813,8 +888,7 @@ fn hedged_fetch(
                 // is not byzantine — it keeps running and may still win.
                 hedged = true;
                 wait = pass.shared.cfg.read_timeout;
-                if let Some(sibling) = pass.ordered.iter().find(|e| !tried.contains(*e)).cloned() {
-                    tried.insert(sibling.clone());
+                if let Some(sibling) = pass.claim(tried) {
                     if spawn_leg(pass.shared, sibling, &pass.request, tx.clone()) {
                         in_flight += 1;
                         counters.hedges += 1;
@@ -844,25 +918,29 @@ fn spawn_leg(
     std::thread::Builder::new()
         .name("sae-net-leg".to_string())
         .spawn(move || {
-            let leg = request_leg(&shared, endpoint, &request, shared.cfg.read_timeout);
+            let pending = send(&shared, &endpoint, &request);
+            let leg = request_leg(&shared, endpoint, &request, pending);
             // The race may already be decided; a closed channel is fine.
             drop(tx.send(leg));
         })
         .is_ok()
 }
 
-/// One request/response exchange against one endpoint: classify the reply
-/// and — on any bad answer — demote the endpoint *here, in the leg*, so an
-/// abandoned hedge loser still routes itself out of future preference. The
-/// one exception is `RESPONSE_TOO_LARGE`: a deterministic, honest refusal
-/// that every sibling would repeat, so it is reported but demotes nobody.
+/// Completes one request/response exchange against one endpoint, given
+/// what [`send`] made of the request: read and classify the reply and — on
+/// any bad answer — demote the endpoint *here, in the leg*, so an abandoned
+/// hedge loser still routes itself out of future preference. Honest
+/// refusals are the exception: `RESPONSE_TOO_LARGE` (deterministic, every
+/// sibling would repeat it) and `NOT_SYNCED` (the replica is still
+/// installing) are reported and fail over, but demote nobody.
 fn request_leg(
     shared: &ClientShared,
     endpoint: String,
     request: &Message,
-    read_timeout: Duration,
+    pending: NetResult<Pending>,
 ) -> Leg {
-    let (outcome, sent, received) = match exchange(shared, &endpoint, request, read_timeout) {
+    let reply = pending.and_then(|pending| receive(shared, &endpoint, request, pending));
+    let (outcome, sent, received) = match reply {
         Ok((
             Message::Slice {
                 shard: claimed,
@@ -913,7 +991,8 @@ fn request_leg(
     };
     let honest_refusal = matches!(
         &outcome,
-        Err(NetError::Remote { code: refused, .. }) if *refused == code::RESPONSE_TOO_LARGE
+        Err(NetError::Remote { code: refused, .. })
+            if *refused == code::RESPONSE_TOO_LARGE || *refused == code::NOT_SYNCED
     );
     if outcome.is_err() && !honest_refusal {
         shared.demoted.lock().insert(endpoint.clone());
@@ -928,7 +1007,7 @@ fn request_leg(
 
 /// `Ping`s one endpoint by name, pooling the connection on success.
 fn ping_endpoint(shared: &ClientShared, endpoint: &str) -> NetResult<()> {
-    let (response, _, _) = exchange(shared, endpoint, &Message::Ping, shared.cfg.read_timeout)?;
+    let (response, _, _) = exchange(shared, endpoint, &Message::Ping)?;
     match response {
         Message::Pong => Ok(()),
         other => Err(NetError::UnexpectedMessage { got: other.tag() }),
@@ -958,61 +1037,97 @@ fn advance_cursor(shared: &ClientShared, shard: usize) {
     }
 }
 
+/// A request written to an endpoint whose response has not been read yet.
+struct Pending {
+    /// The connection, checked out of the pool or freshly dialled.
+    stream: TcpStream,
+    /// Whether the connection came from the pool (and so may have gone
+    /// stale since its last exchange).
+    pooled: bool,
+    /// Request bytes written.
+    sent: u64,
+}
+
 /// Sends `request` to `endpoint` and reads one response frame, returning
-/// `(response, bytes_sent, bytes_received)`. The endpoint's pooled
-/// connection is *checked out* for exclusive use (concurrent legs to the
-/// same endpoint each dial their own rather than interleave frames). A
-/// transport failure on a previously-pooled connection re-dials the same
-/// endpoint once — a server restart must not masquerade as a dead replica.
-/// *Any* error discards the socket: after a framing error the stream can no
-/// longer be trusted to be at a frame boundary.
+/// `(response, bytes_sent, bytes_received)`.
 fn exchange(
     shared: &ClientShared,
     endpoint: &str,
     request: &Message,
-    read_timeout: Duration,
 ) -> NetResult<(Message, u64, u64)> {
-    let pooled = shared.pool.lock().remove(endpoint);
-    let was_pooled = pooled.is_some();
-    let stream = match pooled {
-        Some(stream) => stream,
-        None => dial(shared, endpoint)?,
+    receive(shared, endpoint, request, send(shared, endpoint, request)?)
+}
+
+/// Writes `request` to `endpoint`. The endpoint's pooled connection is
+/// *checked out* for exclusive use (legs in flight to the same endpoint at
+/// once each dial their own rather than interleave frames). A write that
+/// fails on a previously-pooled connection re-dials once — a server restart
+/// must not masquerade as a dead replica.
+fn send(shared: &ClientShared, endpoint: &str, request: &Message) -> NetResult<Pending> {
+    let Some(mut stream) = shared.pool.lock().remove(endpoint) else {
+        return send_fresh(shared, endpoint, request);
     };
-    match exchange_on(shared, endpoint, stream, request, read_timeout) {
-        Err(e) if was_pooled && matches!(e, NetError::Io(_) | NetError::Disconnected) => {
-            let stream = dial(shared, endpoint)?;
-            exchange_on(shared, endpoint, stream, request, read_timeout)
-        }
-        other => other,
+    match write_frame(&mut stream, request) {
+        Ok(sent) => Ok(Pending {
+            stream,
+            pooled: true,
+            sent: sent as u64,
+        }),
+        Err(NetError::Io(_) | NetError::Disconnected) => send_fresh(shared, endpoint, request),
+        Err(e) => Err(e),
     }
 }
 
-/// One exchange over an owned connection; on success the connection goes
-/// (back) to the pool, on failure it is dropped.
-fn exchange_on(
+/// Writes `request` to `endpoint` over a freshly dialled connection.
+fn send_fresh(shared: &ClientShared, endpoint: &str, request: &Message) -> NetResult<Pending> {
+    let mut stream = dial(shared, endpoint)?;
+    let sent = write_frame(&mut stream, request)?;
+    Ok(Pending {
+        stream,
+        pooled: false,
+        sent: sent as u64,
+    })
+}
+
+/// Reads the response to a request [`send`] wrote, returning
+/// `(response, bytes_sent, bytes_received)`. On success the connection goes
+/// (back) to the pool. A transport failure on a previously-pooled
+/// connection re-sends over a fresh dial once, for the same reason as in
+/// [`send`]. *Any* error discards the socket: after a framing error the
+/// stream can no longer be trusted to be at a frame boundary.
+fn receive(
     shared: &ClientShared,
     endpoint: &str,
-    mut stream: TcpStream,
     request: &Message,
-    read_timeout: Duration,
+    pending: Pending,
 ) -> NetResult<(Message, u64, u64)> {
-    let result = stream
-        .set_read_timeout(Some(read_timeout))
-        .map_err(NetError::from)
-        .and_then(|()| write_frame(&mut stream, request))
-        .and_then(|sent| {
-            read_frame(&mut stream).map(|(msg, received)| (msg, sent as u64, received as u64))
-        });
-    if result.is_ok() {
-        // Return the borrowed connection; if a concurrent leg pooled one
-        // for this endpoint first, keep that one and drop ours.
-        shared
-            .pool
-            .lock()
-            .entry(endpoint.to_string())
-            .or_insert(stream);
+    let Pending {
+        mut stream,
+        pooled,
+        sent,
+    } = pending;
+    match read_frame(&mut stream) {
+        Ok((response, received)) => {
+            // Return the borrowed connection; if another leg pooled one for
+            // this endpoint first, keep that one and drop ours.
+            shared
+                .pool
+                .lock()
+                .entry(endpoint.to_string())
+                .or_insert(stream);
+            Ok((response, sent, received as u64))
+        }
+        Err(NetError::Io(_) | NetError::Disconnected) if pooled => {
+            drop(stream);
+            receive(
+                shared,
+                endpoint,
+                request,
+                send_fresh(shared, endpoint, request)?,
+            )
+        }
+        Err(e) => Err(e),
     }
-    result
 }
 
 fn dial(shared: &ClientShared, endpoint: &str) -> NetResult<TcpStream> {

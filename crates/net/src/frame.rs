@@ -668,16 +668,18 @@ pub fn write_frame<W: Write>(w: &mut W, message: &Message) -> NetResult<usize> {
 }
 
 /// Reads one framed message from `r`, returning the message and the bytes
-/// consumed. A clean EOF before the first header byte is
-/// [`NetError::Disconnected`] (the peer hung up between frames); EOF
-/// anywhere inside a frame is a truncation surfaced as [`NetError::Io`].
+/// consumed. The header takes one `read` when it arrives whole. A clean EOF
+/// before the first header byte is [`NetError::Disconnected`] (the peer
+/// hung up between frames); EOF anywhere inside a frame is a truncation
+/// surfaced as [`NetError::Io`].
 pub fn read_frame<R: Read>(r: &mut R) -> NetResult<(Message, usize)> {
     let mut header = [0u8; FRAME_HEADER_LEN];
-    // Read the first byte separately so an idle peer's hangup (EOF at a
-    // frame boundary) is distinguishable from a frame cut short.
-    match r.read(&mut header[..1])? {
+    // One read for the header, which usually lands whole. Zero bytes is an
+    // idle peer's hangup (EOF at a frame boundary); EOF after the first
+    // byte is a frame cut short.
+    match r.read(&mut header)? {
         0 => return Err(NetError::Disconnected),
-        _ => r.read_exact(&mut header[1..])?,
+        n => r.read_exact(&mut header[n..])?,
     }
     let Ok(len_bytes) = <[u8; 4]>::try_from(&header[0..4]) else {
         return Err(NetError::Malformed("frame header"));

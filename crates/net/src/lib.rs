@@ -20,8 +20,8 @@
 //!   trust: their slices face the same client verification;
 //! * the [`NetClient`] derives the responder set from the *published*
 //!   [`sae_core::ShardLayout`], scatters over a [`Topology`] of replica
-//!   groups — **concurrently**, one fetch job per overlapping shard on a
-//!   small reusable worker pool, with failover and true hedged reads
+//!   groups — every overlapping shard's request **in flight at once**,
+//!   pipelined from the caller thread, with failover and true hedged reads
 //!   (see [`client`]'s module docs for the concurrency model) — and runs
 //!   [`sae_core::verify_slices`] — the very function the in-process engine
 //!   uses — over whatever arrived. A dropped endpoint is a

@@ -276,6 +276,46 @@ fn a_pooled_connection_survives_a_server_restart_on_the_same_port() {
 }
 
 #[test]
+fn a_stale_leg_redials_inside_a_pipelined_wave() {
+    let (engine, mut servers, mut client) = deploy(2);
+    let full = RangeQuery::new(0, DOMAIN);
+    // Pool both shards' connections, then restart shard 1's server on the
+    // same port: its pooled socket is now a dead one, shard 0's is live.
+    assert!(client.query(&full).verdict.is_ok());
+    let restarted = servers.remove(1);
+    let addr = restarted.local_addr();
+    restarted.shutdown();
+    let revived = ShardServer::spawn(
+        Arc::clone(&engine),
+        vec![1],
+        addr,
+        ShardServerConfig::default(),
+    )
+    .unwrap();
+
+    // Both requests go out before either answer is read; shard 1's stale
+    // leg redials once inside the wave, and nothing fails over or demotes.
+    let outcome = client.query(&full);
+    assert!(outcome.verdict.is_ok(), "{:?}", outcome.verdict);
+    assert_eq!(outcome.slices.len(), 2);
+    assert_eq!(outcome.failovers, 0, "{:?}", outcome.endpoint_errors);
+    assert!(outcome.endpoint_errors.is_empty());
+    assert!(client.demoted().is_empty());
+    // Shard 0 was answered over the connection its pipelined send used; the
+    // redial is the revived server's one and only connection.
+    assert_eq!(servers[0].stats().connections, 1);
+    assert_eq!(
+        await_stats(&revived, |s| s.queries >= 1).connections,
+        1,
+        "one redial, no more"
+    );
+    revived.shutdown();
+    for server in servers {
+        server.shutdown();
+    }
+}
+
+#[test]
 fn probe_health_re_admits_a_restarted_replica() {
     let (engine, mut servers, mut client) = deploy(2);
     let full = RangeQuery::new(0, DOMAIN);

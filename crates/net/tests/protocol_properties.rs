@@ -8,9 +8,29 @@
 
 use proptest::prelude::*;
 use sae_crypto::Digest;
-use sae_net::{decode_frame, encode_frame, Message, NetError, MAX_FRAME_PAYLOAD, WIRE_VERSION};
+use sae_net::{
+    decode_frame, encode_frame, read_frame, Message, NetError, MAX_FRAME_PAYLOAD, WIRE_VERSION,
+};
 use sae_storage::wal::crc32;
 use sae_workload::RangeQuery;
+use std::io::Read;
+
+/// A reader that hands out at most `step` bytes per `read`, like a socket
+/// whose bytes arrive in small segments.
+struct Dribble {
+    bytes: Vec<u8>,
+    at: usize,
+    step: usize,
+}
+
+impl Read for Dribble {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = buf.len().min(self.step).min(self.bytes.len() - self.at);
+        buf[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+        self.at += n;
+        Ok(n)
+    }
+}
 
 fn arb_query() -> impl Strategy<Value = Message> {
     (any::<u32>(), any::<u32>(), any::<u32>()).prop_map(|(shard, a, b)| Message::Query {
@@ -138,6 +158,32 @@ proptest! {
         let cut = cut % frame.len(); // strictly shorter than the full frame
         let truncated = matches!(decode_frame(&frame[..cut]), Err(NetError::Truncated { .. }));
         prop_assert!(truncated);
+    }
+
+    #[test]
+    fn a_stream_cut_at_any_byte_is_typed(msg in arb_message(), cut in any::<usize>(), step in 1usize..16) {
+        let frame = encode_frame(&msg);
+        let cut = cut % frame.len();
+        let mut stream = Dribble { bytes: frame[..cut].to_vec(), at: 0, step };
+        // Nothing at all is a hangup between frames; anything after the
+        // first byte is a frame cut short.
+        let typed = match read_frame(&mut stream) {
+            Err(NetError::Disconnected) => cut == 0,
+            Err(NetError::Io(e)) => cut > 0 && e.kind() == std::io::ErrorKind::UnexpectedEof,
+            _ => false,
+        };
+        prop_assert!(typed);
+    }
+
+    #[test]
+    fn short_reads_reassemble_the_frame(msg in arb_message(), step in 1usize..16) {
+        let frame = encode_frame(&msg);
+        let mut stream = Dribble { bytes: frame.clone(), at: 0, step };
+        let read = read_frame(&mut stream);
+        prop_assert!(read.is_ok());
+        let (read, consumed) = read.unwrap();
+        prop_assert_eq!(consumed, frame.len());
+        prop_assert_eq!(read, msg);
     }
 
     #[test]

@@ -7,7 +7,7 @@
 use sae_core::{ReplicaSet, ShardedSaeEngine};
 use sae_crypto::HashAlgorithm;
 use sae_net::{
-    read_frame, write_frame, Message, NetClient, NetClientConfig, ReplicaServer,
+    read_frame, write_frame, Message, NetClient, NetClientConfig, NetError, ReplicaServer,
     ReplicaServerConfig, ServerTamper, ShardServer, ShardServerConfig, SliceSource, Topology,
 };
 use sae_workload::{DatasetSpec, KeyDistribution, RangeQuery, Record};
@@ -250,6 +250,7 @@ fn a_half_installed_replica_refuses_to_serve_not_garbage() {
     }
 
     // A failover client routes around the unsynced front to the primary.
+    // The refusal is honest, not a fault: nobody is demoted for it.
     let groups = vec![vec![
         front.local_addr().to_string(),
         server.local_addr().to_string(),
@@ -259,6 +260,11 @@ fn a_half_installed_replica_refuses_to_serve_not_garbage() {
     assert!(net.verdict.is_ok(), "{:?}", net.verdict);
     assert_eq!(net.record_count(), CARDINALITY);
     assert!(net.failovers > 0);
+    assert!(net.endpoint_errors.iter().all(|(_, e)| matches!(
+        e,
+        NetError::Remote { code, .. } if *code == sae_net::frame::code::NOT_SYNCED
+    )));
+    assert!(client.demoted().is_empty(), "{:?}", client.demoted());
 
     // The full snapshot heals the very same set in place — no restart.
     set.install_snapshot(0, &snapshot).unwrap();
