@@ -1,15 +1,16 @@
 //! # sae-bench
 //!
 //! The experiment harness that regenerates the evaluation section of the
-//! paper (Figures 5–8) plus the ablations called out in `DESIGN.md`.
+//! paper (Figures 5–8) plus the ablations listed in the repository README
+//! ("Reproducing the paper's figures").
 //!
 //! The heavy lifting lives in [`experiments`]: for every `(distribution,
 //! cardinality)` configuration it builds one SAE deployment and one TOM
 //! deployment over the same synthetic dataset, runs the paper's query
 //! workload (100 uniform range queries of 0.5 % extent) against both, and
 //! collects the per-party costs. The `experiments` binary prints one table
-//! per figure; the Criterion benches in `benches/` measure the same
-//! operations at a fixed configuration for regression tracking.
+//! per figure; the wall-clock cost of a verified query and a durable write
+//! is measured by the standalone benchmark in `benchmark/`.
 //!
 //! Scale: by default the harness runs the paper's configuration at 1/10 of
 //! the cardinalities (10 K – 100 K records) so the whole suite finishes in CI

@@ -1,40 +1,66 @@
-//! On-page node layout for the B⁺-Tree.
+//! On-page node layouts: the plain B⁺-Tree's and the augmented trees'.
 //!
-//! Every node occupies exactly one 4096-byte page:
+//! Every node occupies exactly one 4096-byte page behind one 12-byte header:
 //!
 //! ```text
-//! leaf:      [type:1][pad:1][count:2][next_leaf:8][ (key:4, rid:8) * count ]
-//! internal:  [type:1][pad:1][count:2][child0:8]  [ (key:4, child:8) * count ]
+//! B+-Tree leaf:      [type:1][pad:1][count:2][next_leaf:8] [ (key:4, rid:8) * count ]
+//! B+-Tree internal:  [type:1][pad:1][count:2][child0:8]    [ (key:4, child:8) * count ]
+//! min-key (both):    [type:1][pad:1][count:2][next_leaf:8] [ (key:4, ptr:8, digest:20) * count ]
 //! ```
 //!
-//! Leaf entries map a search key to a record id in the SP's dataset heap file;
-//! internal entries are separator keys with right-child pointers (the leftmost
-//! child is stored in the header). Capacities are derived from the page size,
-//! which is how the fanout advantage of the plain B⁺-Tree over the MB-Tree
-//! arises naturally rather than being hard-coded.
+//! [`BTreeNode`] is the separator layout of the SP's plain index: leaf
+//! entries map a search key to a record id in the dataset heap file, and
+//! internal entries are separator keys with right-child pointers (the
+//! leftmost child is stored in the header). [`AugNode`] is the min-key layout
+//! of [`crate::AugTree`], the XB-Tree and MB-Tree: every entry carries the
+//! minimum key below it and a 20-byte digest (internal nodes leave
+//! `next_leaf` invalid). Capacities are derived from the page size, which is
+//! how the plain B⁺-Tree's fanout advantage (340 against 127) arises
+//! naturally rather than being hard-coded.
 
+use sae_crypto::{Digest, DIGEST_LEN};
 use sae_storage::{Page, PageId, PAGE_SIZE};
 use sae_workload::RecordKey;
 
 /// Byte offset where entries begin.
 const HEADER_LEN: usize = 12;
-/// Size of one leaf entry: key (4) + record id (8).
-const LEAF_ENTRY_LEN: usize = 12;
-/// Size of one internal entry: key (4) + child page id (8).
-const INTERNAL_ENTRY_LEN: usize = 12;
+/// Size of one B⁺-Tree entry: key (4) + record id or child page id (8).
+const SEP_ENTRY_LEN: usize = 12;
+/// Size of one min-key entry: key (4) + pointer (8) + digest (20).
+const AUG_ENTRY_LEN: usize = 4 + 8 + DIGEST_LEN;
 
 /// Maximum number of entries in a leaf node.
-pub const LEAF_CAPACITY: usize = (PAGE_SIZE - HEADER_LEN) / LEAF_ENTRY_LEN;
+pub const LEAF_CAPACITY: usize = (PAGE_SIZE - HEADER_LEN) / SEP_ENTRY_LEN;
 /// Maximum number of separator keys in an internal node.
-pub const INTERNAL_CAPACITY: usize = (PAGE_SIZE - HEADER_LEN) / INTERNAL_ENTRY_LEN;
+pub const INTERNAL_CAPACITY: usize = (PAGE_SIZE - HEADER_LEN) / SEP_ENTRY_LEN;
+/// Maximum number of entries in a min-key node, leaf or internal.
+pub const AUG_CAPACITY: usize = (PAGE_SIZE - HEADER_LEN) / AUG_ENTRY_LEN;
 
 /// Whether a node is a leaf or an internal node.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum NodeKind {
-    /// Leaf node: holds `(key, record id)` entries and a next-leaf pointer.
+    /// Leaf node: holds record entries and a next-leaf pointer.
     Leaf,
-    /// Internal node: holds separator keys and child pointers.
+    /// Internal node: holds keys and child pointers.
     Internal,
+}
+
+/// Writes the shared header: kind byte, entry count and the 8-byte link
+/// (next leaf, or a B⁺-Tree internal node's leftmost child).
+fn write_header(page: &mut Page, kind: NodeKind, count: usize, link: PageId) {
+    page.write_u8(0, if kind == NodeKind::Leaf { 0 } else { 1 });
+    page.write_u16(2, count as u16);
+    page.write_page_id(4, link);
+}
+
+/// Reads the header written by [`write_header`].
+fn read_header(page: &Page) -> (NodeKind, usize, PageId) {
+    let kind = if page.read_u8(0) == 0 {
+        NodeKind::Leaf
+    } else {
+        NodeKind::Internal
+    };
+    (kind, page.read_u16(2) as usize, page.read_page_id(4))
 }
 
 /// An in-memory, decoded B⁺-Tree node.
@@ -132,27 +158,28 @@ impl BTreeNode {
     /// Serializes the node into a fresh page.
     pub fn to_page(&self) -> Page {
         let mut page = Page::new();
+        let mut off = HEADER_LEN;
         match self.kind {
             NodeKind::Leaf => {
-                page.write_u8(0, 0);
-                page.write_u16(2, self.leaf_entries.len() as u16);
-                page.write_page_id(4, self.next_leaf);
-                let mut off = HEADER_LEN;
+                write_header(
+                    &mut page,
+                    self.kind,
+                    self.leaf_entries.len(),
+                    self.next_leaf,
+                );
                 for (key, rid) in &self.leaf_entries {
                     page.write_u32(off, *key);
                     page.write_u64(off + 4, *rid);
-                    off += LEAF_ENTRY_LEN;
+                    off += SEP_ENTRY_LEN;
                 }
             }
             NodeKind::Internal => {
-                page.write_u8(0, 1);
-                page.write_u16(2, self.internal_entries.len() as u16);
-                page.write_page_id(4, self.leftmost_child);
-                let mut off = HEADER_LEN;
+                let count = self.internal_entries.len();
+                write_header(&mut page, self.kind, count, self.leftmost_child);
                 for (key, child) in &self.internal_entries {
                     page.write_u32(off, *key);
                     page.write_page_id(off + 4, *child);
-                    off += INTERNAL_ENTRY_LEN;
+                    off += SEP_ENTRY_LEN;
                 }
             }
         }
@@ -161,45 +188,135 @@ impl BTreeNode {
 
     /// Decodes a node from a page.
     pub fn from_page(page: &Page) -> Self {
-        let kind = if page.read_u8(0) == 0 {
-            NodeKind::Leaf
-        } else {
-            NodeKind::Internal
-        };
-        let count = page.read_u16(2) as usize;
+        let (kind, count, link) = read_header(page);
+        let mut off = HEADER_LEN;
         match kind {
             NodeKind::Leaf => {
-                let next_leaf = page.read_page_id(4);
                 let mut leaf_entries = Vec::with_capacity(count);
-                let mut off = HEADER_LEN;
                 for _ in 0..count {
                     leaf_entries.push((page.read_u32(off), page.read_u64(off + 4)));
-                    off += LEAF_ENTRY_LEN;
+                    off += SEP_ENTRY_LEN;
                 }
                 BTreeNode {
-                    kind,
-                    next_leaf,
+                    next_leaf: link,
                     leaf_entries,
-                    leftmost_child: PageId::INVALID,
-                    internal_entries: Vec::new(),
+                    ..BTreeNode::new_leaf()
                 }
             }
             NodeKind::Internal => {
-                let leftmost_child = page.read_page_id(4);
                 let mut internal_entries = Vec::with_capacity(count);
-                let mut off = HEADER_LEN;
                 for _ in 0..count {
                     internal_entries.push((page.read_u32(off), page.read_page_id(off + 4)));
-                    off += INTERNAL_ENTRY_LEN;
+                    off += SEP_ENTRY_LEN;
                 }
                 BTreeNode {
-                    kind,
-                    next_leaf: PageId::INVALID,
-                    leaf_entries: Vec::new(),
-                    leftmost_child,
                     internal_entries,
+                    ..BTreeNode::new_internal(link)
                 }
             }
+        }
+    }
+}
+
+/// One entry of the min-key layout.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct AugEntry {
+    /// Record key (leaf) or the minimum key of the child subtree (internal).
+    pub key: RecordKey,
+    /// Record id (leaf) or the child page id as a raw `u64` (internal).
+    pub ptr: u64,
+    /// Record digest (leaf) or the child's summary under the tree's
+    /// [`crate::Augment`] (internal).
+    pub digest: Digest,
+}
+
+impl AugEntry {
+    /// The pointer interpreted as a child page id.
+    pub fn child(&self) -> PageId {
+        PageId(self.ptr)
+    }
+}
+
+/// An in-memory, decoded node of the min-key layout.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct AugNode {
+    /// Leaf or internal.
+    pub kind: NodeKind,
+    /// Leaf only: the next leaf in key order ([`PageId::INVALID`] if none).
+    pub next_leaf: PageId,
+    /// Entries sorted by key (leaves: by `(key, ptr)`).
+    pub entries: Vec<AugEntry>,
+}
+
+impl AugNode {
+    /// Creates an empty node of the given kind.
+    pub fn new(kind: NodeKind) -> Self {
+        AugNode {
+            kind,
+            next_leaf: PageId::INVALID,
+            entries: Vec::new(),
+        }
+    }
+
+    /// Minimum key stored in (or below) this node. Panics on an empty node.
+    pub fn min_key(&self) -> RecordKey {
+        self.entries[0].key
+    }
+
+    /// The first child whose subtree may contain `key`.
+    ///
+    /// Duplicates may straddle a split, so a subtree can hold keys equal to
+    /// the *next* child's minimum: the search starts one child before the
+    /// first whose minimum is `>= key`.
+    pub fn child_index_for_lower_bound(&self, key: RecordKey) -> usize {
+        debug_assert_eq!(self.kind, NodeKind::Internal);
+        self.entries
+            .partition_point(|e| e.key < key)
+            .saturating_sub(1)
+    }
+
+    /// The child an insert of `key` descends into: the last whose minimum is
+    /// `<= key`, so new duplicates go to the rightmost eligible subtree.
+    pub fn child_index_for_insert(&self, key: RecordKey) -> usize {
+        debug_assert_eq!(self.kind, NodeKind::Internal);
+        self.entries
+            .partition_point(|e| e.key <= key)
+            .saturating_sub(1)
+    }
+
+    /// Serializes the node into a fresh page.
+    pub fn to_page(&self) -> Page {
+        let mut page = Page::new();
+        write_header(&mut page, self.kind, self.entries.len(), self.next_leaf);
+        let mut off = HEADER_LEN;
+        for e in &self.entries {
+            page.write_u32(off, e.key);
+            page.write_u64(off + 4, e.ptr);
+            page.write_bytes(off + 12, e.digest.as_bytes());
+            off += AUG_ENTRY_LEN;
+        }
+        page
+    }
+
+    /// Decodes a node from a page.
+    pub fn from_page(page: &Page) -> Self {
+        let (kind, count, next_leaf) = read_header(page);
+        let mut entries = Vec::with_capacity(count);
+        let mut off = HEADER_LEN;
+        for _ in 0..count {
+            entries.push(AugEntry {
+                key: page.read_u32(off),
+                ptr: page.read_u64(off + 4),
+                digest: Digest::from_slice(page.read_bytes(off + 12, DIGEST_LEN))
+                    // analyzer:allow(no-unwrap-in-lib, read_bytes returns exactly DIGEST_LEN bytes so from_slice cannot fail)
+                    .expect("digest length is fixed"),
+            });
+            off += AUG_ENTRY_LEN;
+        }
+        AugNode {
+            kind,
+            next_leaf,
+            entries,
         }
     }
 }
@@ -283,5 +400,134 @@ mod tests {
         let internal = BTreeNode::new_internal(PageId(1));
         assert!(internal.is_empty());
         assert_eq!(internal.children(), vec![PageId(1)]);
+    }
+
+    // ------------------------------------------------ min-key layout
+
+    use crate::aug::{Augment, MerkleHash, XorFold};
+    use sae_crypto::HashAlgorithm;
+
+    fn d(tag: u8) -> Digest {
+        Digest::new([tag; DIGEST_LEN])
+    }
+
+    fn aug_node(kind: NodeKind, entries: &[(RecordKey, u64, u8)]) -> AugNode {
+        let mut node = AugNode::new(kind);
+        for &(key, ptr, tag) in entries {
+            node.entries.push(AugEntry {
+                key,
+                ptr,
+                digest: d(tag),
+            });
+        }
+        node
+    }
+
+    #[test]
+    fn capacities_match_entry_size() {
+        // (4096 - 12) / 32 = 127 for both node kinds.
+        assert_eq!(AUG_CAPACITY, 127);
+    }
+
+    #[test]
+    fn capacity_reflects_digest_overhead() {
+        // The 20-byte digest per entry cuts the fanout to about a third of
+        // the plain B+-Tree's, as the paper's Figure 6 discussion assumes.
+        const { assert!(AUG_CAPACITY < INTERNAL_CAPACITY / 2) };
+    }
+
+    #[test]
+    fn round_trips_for_both_kinds() {
+        let mut leaf = aug_node(NodeKind::Leaf, &[(0, 0, 0), (2, 1, 1), (4, 2, 2)]);
+        leaf.next_leaf = PageId(3);
+        assert_eq!(AugNode::from_page(&leaf.to_page()), leaf);
+
+        let internal = aug_node(
+            NodeKind::Internal,
+            &[(0, 10, 0xF0), (100, 11, 0xF1), (200, 12, 0xF2)],
+        );
+        let decoded = AugNode::from_page(&internal.to_page());
+        assert_eq!(decoded, internal);
+        assert!(decoded.next_leaf.is_invalid());
+        assert_eq!(decoded.entries[2].child(), PageId(12));
+    }
+
+    #[test]
+    fn full_node_round_trip() {
+        let entries: Vec<_> = (0..AUG_CAPACITY as u64)
+            .map(|i| (i as u32, i, (i % 251) as u8))
+            .collect();
+        for kind in [NodeKind::Leaf, NodeKind::Internal] {
+            let node = aug_node(kind, &entries);
+            assert_eq!(AugNode::from_page(&node.to_page()), node);
+        }
+    }
+
+    #[test]
+    fn internal_round_trip_and_descent() {
+        let node = aug_node(
+            NodeKind::Internal,
+            &[(10, 0, 0), (20, 1, 1), (20, 2, 2), (30, 3, 3)],
+        );
+        assert_eq!(AugNode::from_page(&node.to_page()), node);
+        // Insert descent: the last child whose minimum is <= the key.
+        assert_eq!(node.child_index_for_insert(5), 0);
+        assert_eq!(node.child_index_for_insert(20), 2);
+        assert_eq!(node.child_index_for_insert(99), 3);
+    }
+
+    #[test]
+    fn lower_bound_descent_handles_duplicate_minimums() {
+        let node = aug_node(
+            NodeKind::Internal,
+            &[(10, 0, 0), (20, 1, 0), (20, 2, 0), (30, 3, 0)],
+        );
+        // Duplicates may equal the next child's minimum, so a search starts
+        // one child early.
+        assert_eq!(node.child_index_for_lower_bound(5), 0);
+        assert_eq!(node.child_index_for_lower_bound(20), 0);
+        assert_eq!(node.child_index_for_lower_bound(21), 2);
+        assert_eq!(node.child_index_for_lower_bound(30), 2);
+        assert_eq!(node.child_index_for_lower_bound(31), 3);
+    }
+
+    #[test]
+    fn node_xor_is_xor_of_entry_aggregates() {
+        let node = aug_node(
+            NodeKind::Leaf,
+            &[(1, 1, 0b0011), (2, 2, 0b0101), (3, 3, 0b1001)],
+        );
+        assert_eq!(
+            XorFold.summarize(&node.entries),
+            d(0b0011 ^ 0b0101 ^ 0b1001)
+        );
+        assert_eq!(XorFold.summarize(&[]), Digest::ZERO);
+        let mut patched = XorFold.summarize(&node.entries[..2]);
+        XorFold.absorb(&mut patched, &node.entries[2].digest);
+        assert_eq!(patched, XorFold.summarize(&node.entries));
+    }
+
+    #[test]
+    fn page_digest_is_hash_of_concatenated_digests() {
+        let alg = HashAlgorithm::Sha1;
+        let node = aug_node(NodeKind::Leaf, &[(1, 1, 0xAA), (2, 2, 0xBB)]);
+        let mut concat = Vec::new();
+        concat.extend_from_slice(d(0xAA).as_bytes());
+        concat.extend_from_slice(d(0xBB).as_bytes());
+        assert_eq!(MerkleHash(alg).summarize(&node.entries), alg.hash(&concat));
+        // The digest of an empty page is the hash of the empty string.
+        assert_eq!(MerkleHash(alg).summarize(&[]), alg.hash(b""));
+    }
+
+    #[test]
+    fn page_digest_changes_with_entry_order_and_content() {
+        let merkle = MerkleHash(HashAlgorithm::Sha1);
+        let a = aug_node(NodeKind::Leaf, &[(1, 1, 1), (2, 2, 2)]);
+        let mut b = a.clone();
+        b.entries.swap(0, 1);
+        assert_ne!(merkle.summarize(&a.entries), merkle.summarize(&b.entries));
+        let mut c = a.clone();
+        c.entries[0].digest = d(9);
+        assert_ne!(merkle.summarize(&a.entries), merkle.summarize(&c.entries));
     }
 }

@@ -11,24 +11,33 @@
 //! it does not rebalance under-full siblings. This keeps the structure correct
 //! (queries and invariants hold for any interleaving of operations) at the
 //! cost of a possibly lower occupancy after massive deletions — the same
-//! trade-off is applied uniformly to the MB-Tree and XB-Tree so comparative
-//! results are unaffected.
+//! trade-off [`crate::AugTree`] makes for the MB-Tree and XB-Tree, so
+//! comparative results are unaffected.
 
 use crate::node::{BTreeNode, NodeKind, INTERNAL_CAPACITY, LEAF_CAPACITY};
 use sae_storage::{PageId, SharedPageStore, StorageError, StorageResult, TreeMeta, PAGE_SIZE};
 use sae_workload::{RangeQuery, RecordKey};
 
-/// Summary statistics about a tree's shape (used by the experiments).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct TreeStats {
-    /// Number of levels (1 = the root is a leaf).
-    pub height: u32,
-    /// Total number of nodes (pages).
-    pub node_count: u64,
-    /// Number of `(key, record-id)` entries stored.
-    pub entry_count: u64,
-    /// Bytes occupied by the tree's pages.
-    pub storage_bytes: u64,
+/// Rejects persisted tree metadata that cannot describe a tree on `store`
+/// (`what` names the tree in the error).
+pub(crate) fn check_meta(
+    store: &SharedPageStore,
+    meta: &TreeMeta,
+    what: &str,
+) -> StorageResult<()> {
+    if meta.root.is_invalid() || meta.root.0 >= store.page_count() {
+        return Err(StorageError::Corrupted(format!(
+            "{what} root {} outside the store's {} pages",
+            meta.root,
+            store.page_count()
+        )));
+    }
+    if meta.height == 0 || meta.node_count == 0 {
+        return Err(StorageError::Corrupted(format!(
+            "{what} meta claims zero height or zero nodes"
+        )));
+    }
+    Ok(())
 }
 
 /// A disk-based B⁺-Tree mapping search keys to record ids.
@@ -122,18 +131,7 @@ impl BPlusTree {
     /// SAE trusted entity cross-checks its published digest; the service
     /// provider's results are checked by client verification).
     pub fn open(store: SharedPageStore, meta: TreeMeta) -> StorageResult<Self> {
-        if meta.root.is_invalid() || meta.root.0 >= store.page_count() {
-            return Err(StorageError::Corrupted(format!(
-                "B+-Tree root {} outside the store's {} pages",
-                meta.root,
-                store.page_count()
-            )));
-        }
-        if meta.height == 0 || meta.node_count == 0 {
-            return Err(StorageError::Corrupted(
-                "B+-Tree meta claims zero height or zero nodes".into(),
-            ));
-        }
+        check_meta(&store, &meta, "B+-Tree")?;
         Ok(BPlusTree {
             store,
             root: meta.root,
@@ -187,16 +185,6 @@ impl BPlusTree {
     /// Bytes occupied by the tree's pages.
     pub fn storage_bytes(&self) -> u64 {
         self.node_count * PAGE_SIZE as u64
-    }
-
-    /// Shape statistics.
-    pub fn stats(&self) -> TreeStats {
-        TreeStats {
-            height: self.height,
-            node_count: self.node_count,
-            entry_count: self.len,
-            storage_bytes: self.storage_bytes(),
-        }
     }
 
     fn read_node(&self, id: PageId) -> StorageResult<BTreeNode> {
@@ -724,13 +712,12 @@ mod tests {
     fn stats_are_consistent() {
         let entries: Vec<(RecordKey, u64)> = (0..10_000u64).map(|i| (i as u32, i)).collect();
         let tree = BPlusTree::bulk_load(MemPager::new_shared(), &entries).unwrap();
-        let stats = tree.stats();
-        assert_eq!(stats.entry_count, 10_000);
-        assert_eq!(stats.height, tree.height());
-        assert_eq!(stats.node_count, tree.node_count());
-        assert_eq!(stats.storage_bytes, tree.node_count() * PAGE_SIZE as u64);
-        // ~30 leaves + a root level.
-        assert!(stats.node_count >= 30 && stats.node_count <= 40);
+        let meta = tree.meta();
+        assert_eq!(meta.len, 10_000);
+        assert_eq!(meta.height, 2);
+        // 30 full leaves (340 entries each, 10 000 / 340 rounded up) + a root.
+        assert_eq!(meta.node_count, 31);
+        assert_eq!(tree.storage_bytes(), 31 * PAGE_SIZE as u64);
     }
 
     #[test]

@@ -5,8 +5,9 @@
 //! system's 20-byte [`Digest`]. [`HashAlgorithm`] selects between the two
 //! implementations in this crate and is threaded through the higher layers
 //! (record digests, MB-Tree node digests, XB-Tree tuple digests) so that the
-//! whole system can be switched with one configuration value — this is the
-//! "digest algorithm" ablation in DESIGN.md.
+//! whole system can be switched with one configuration value. The figures
+//! use SHA-1, as the paper did; `tests/kat.rs` pins both functions to their
+//! FIPS test vectors.
 
 use crate::digest::Digest;
 use crate::sha1::Sha1;

@@ -27,10 +27,8 @@
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod node;
 pub mod tree;
 pub mod vo;
 
-pub use node::{MbNode, MbNodeKind, MB_INTERNAL_CAPACITY, MB_LEAF_CAPACITY};
-pub use tree::{MbTree, MbTreeStats};
+pub use tree::MbTree;
 pub use vo::{VerificationObject, VerifyError, VoItem};

@@ -5,51 +5,36 @@
 //! digest of the child page they point to, and the digest of the root page is
 //! what the data owner signs. All digests are maintained incrementally on
 //! insert/delete along the affected root-to-leaf path, so updates cost
-//! `O(log n)` node accesses exactly like the plain B⁺-Tree.
+//! `O(log n)` node accesses exactly like the plain B⁺-Tree. The tree is
+//! `sae_btree`'s shared [`AugTree`] under [`MerkleHash`]; this module adds
+//! the verification object.
 
-use crate::node::{MbEntry, MbNode, MbNodeKind, MB_INTERNAL_CAPACITY, MB_LEAF_CAPACITY};
 use crate::vo::{VerificationObject, VoItem};
+use sae_btree::{AugEntry, AugTree, MerkleHash, NodeKind};
 use sae_crypto::signer::SignatureBytes;
 use sae_crypto::{Digest, HashAlgorithm};
-use sae_storage::{PageId, SharedPageStore, StorageResult, PAGE_SIZE};
+use sae_storage::{PageId, SharedPageStore, StorageResult};
 use sae_workload::{RangeQuery, RecordKey};
+use std::ops::Deref;
 
-/// Shape statistics for the MB-Tree.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct MbTreeStats {
-    /// Number of levels (1 = root is a leaf).
-    pub height: u32,
-    /// Number of nodes (pages).
-    pub node_count: u64,
-    /// Number of record entries.
-    pub entry_count: u64,
-    /// Bytes occupied by the tree's pages.
-    pub storage_bytes: u64,
-}
+/// A disk-based Merkle B⁺-Tree over `(key, record id, record digest)`
+/// entries. Shape accessors, range scans, boundary search,
+/// [`AugTree::root_digest`] (the value the data owner signs) and
+/// `check_invariants` come from the [`AugTree`] it dereferences to.
+pub struct MbTree(AugTree<MerkleHash>);
 
-/// A disk-based Merkle B⁺-Tree over `(key, record id, record digest)` entries.
-pub struct MbTree {
-    store: SharedPageStore,
-    alg: HashAlgorithm,
-    root: PageId,
-    height: u32,
-    len: u64,
-    node_count: u64,
+impl Deref for MbTree {
+    type Target = AugTree<MerkleHash>;
+
+    fn deref(&self) -> &AugTree<MerkleHash> {
+        &self.0
+    }
 }
 
 impl MbTree {
     /// Creates an empty MB-Tree.
     pub fn new(store: SharedPageStore, alg: HashAlgorithm) -> StorageResult<Self> {
-        let root = store.allocate()?;
-        store.write(root, &MbNode::new_leaf().to_page())?;
-        Ok(MbTree {
-            store,
-            alg,
-            root,
-            height: 1,
-            len: 0,
-            node_count: 1,
-        })
+        AugTree::new(store, MerkleHash(alg)).map(MbTree)
     }
 
     /// Bulk-loads from entries sorted by `(key, record id)`; each entry
@@ -59,370 +44,29 @@ impl MbTree {
         alg: HashAlgorithm,
         entries: &[(RecordKey, u64, Digest)],
     ) -> StorageResult<Self> {
-        assert!(
-            entries
-                .windows(2)
-                .all(|w| (w[0].0, w[0].1) <= (w[1].0, w[1].1)),
-            "bulk_load requires entries sorted by (key, record id)"
-        );
-        if entries.is_empty() {
-            return Self::new(store, alg);
-        }
-        let mut node_count = 0u64;
-
-        // Leaf level.
-        let chunks: Vec<&[(RecordKey, u64, Digest)]> = entries.chunks(MB_LEAF_CAPACITY).collect();
-        let mut pages = Vec::with_capacity(chunks.len());
-        for _ in 0..chunks.len() {
-            pages.push(store.allocate()?);
-        }
-        // (min key, page id, page digest)
-        let mut level: Vec<(RecordKey, PageId, Digest)> = Vec::with_capacity(chunks.len());
-        for (i, chunk) in chunks.iter().enumerate() {
-            let mut node = MbNode::new_leaf();
-            node.entries = chunk
-                .iter()
-                .map(|&(key, rid, digest)| MbEntry {
-                    key,
-                    ptr: rid,
-                    digest,
-                })
-                .collect();
-            node.next_leaf = if i + 1 < pages.len() {
-                pages[i + 1]
-            } else {
-                PageId::INVALID
-            };
-            store.write(pages[i], &node.to_page())?;
-            node_count += 1;
-            level.push((chunk[0].0, pages[i], node.page_digest(alg)));
-        }
-
-        // Internal levels.
-        let mut height = 1u32;
-        while level.len() > 1 {
-            let mut next_level = Vec::new();
-            for group in level.chunks(MB_INTERNAL_CAPACITY) {
-                let mut node = MbNode::new_internal();
-                node.entries = group
-                    .iter()
-                    .map(|&(key, page, digest)| MbEntry {
-                        key,
-                        ptr: page.0,
-                        digest,
-                    })
-                    .collect();
-                let page_id = store.allocate()?;
-                store.write(page_id, &node.to_page())?;
-                node_count += 1;
-                next_level.push((group[0].0, page_id, node.page_digest(alg)));
-            }
-            level = next_level;
-            height += 1;
-        }
-
-        Ok(MbTree {
-            store,
-            alg,
-            root: level[0].1,
-            height,
-            len: entries.len() as u64,
-            node_count,
-        })
+        let entry = |&(key, ptr, digest): &(RecordKey, u64, Digest)| AugEntry { key, ptr, digest };
+        AugTree::bulk_load(store, MerkleHash(alg), entries, entry).map(MbTree)
     }
 
     /// The hash algorithm used for all digests in this tree.
     pub fn hash_algorithm(&self) -> HashAlgorithm {
-        self.alg
+        self.augment().0
     }
-
-    /// The page store this tree lives on.
-    pub fn store(&self) -> &SharedPageStore {
-        &self.store
-    }
-
-    /// Number of record entries.
-    pub fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// Whether the tree is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of levels.
-    pub fn height(&self) -> u32 {
-        self.height
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> u64 {
-        self.node_count
-    }
-
-    /// Bytes occupied by the tree's pages.
-    pub fn storage_bytes(&self) -> u64 {
-        self.node_count * PAGE_SIZE as u64
-    }
-
-    /// Shape statistics.
-    pub fn stats(&self) -> MbTreeStats {
-        MbTreeStats {
-            height: self.height,
-            node_count: self.node_count,
-            entry_count: self.len,
-            storage_bytes: self.storage_bytes(),
-        }
-    }
-
-    fn read_node(&self, id: PageId) -> StorageResult<MbNode> {
-        Ok(MbNode::from_page(&self.store.read(id)?))
-    }
-
-    fn write_node(&self, id: PageId, node: &MbNode) -> StorageResult<()> {
-        self.store.write(id, &node.to_page())
-    }
-
-    /// The digest of the root page — the value the data owner signs.
-    pub fn root_digest(&self) -> StorageResult<Digest> {
-        Ok(self.read_node(self.root)?.page_digest(self.alg))
-    }
-
-    // ---------------------------------------------------------------- range
-
-    /// All `(key, record id)` entries with `q.lower <= key <= q.upper`.
-    pub fn range(&self, q: &RangeQuery) -> StorageResult<Vec<(RecordKey, u64)>> {
-        let mut out = Vec::new();
-        let mut current = self.root;
-        for _ in 1..self.height {
-            let node = self.read_node(current)?;
-            let idx = node.child_index_for_lower_bound(q.lower);
-            current = node.entries[idx].child();
-        }
-        loop {
-            let node = self.read_node(current)?;
-            debug_assert_eq!(node.kind, MbNodeKind::Leaf);
-            for e in &node.entries {
-                if e.key > q.upper {
-                    return Ok(out);
-                }
-                if e.key >= q.lower {
-                    out.push((e.key, e.ptr));
-                }
-            }
-            if node.next_leaf.is_invalid() {
-                return Ok(out);
-            }
-            current = node.next_leaf;
-        }
-    }
-
-    /// Record ids matching the query, in `(key, record id)` order.
-    pub fn range_record_ids(&self, q: &RangeQuery) -> StorageResult<Vec<u64>> {
-        Ok(self.range(q)?.into_iter().map(|(_, rid)| rid).collect())
-    }
-
-    // --------------------------------------------------------------- insert
 
     /// Inserts a `(key, record id, record digest)` entry and updates all
     /// digests along the insertion path.
     pub fn insert(&mut self, key: RecordKey, rid: u64, digest: Digest) -> StorageResult<()> {
-        if let Some((split_key, split_page, _)) = self.insert_rec(self.root, key, rid, digest)? {
-            // Root split: the new root has two entries, one per half.
-            let old_root = self.read_node(self.root)?;
-            let new_right = self.read_node(split_page)?;
-            let mut new_root = MbNode::new_internal();
-            new_root.entries.push(MbEntry {
-                key: old_root.min_key(),
-                ptr: self.root.0,
-                digest: old_root.page_digest(self.alg),
-            });
-            new_root.entries.push(MbEntry {
-                key: split_key,
-                ptr: split_page.0,
-                digest: new_right.page_digest(self.alg),
-            });
-            let new_root_id = self.store.allocate()?;
-            self.write_node(new_root_id, &new_root)?;
-            self.root = new_root_id;
-            self.height += 1;
-            self.node_count += 1;
-        }
-        self.len += 1;
-        Ok(())
+        self.0.insert(AugEntry {
+            key,
+            ptr: rid,
+            digest,
+        })
     }
-
-    /// Recursive insert. Returns `Some((right min key, right page, right page
-    /// digest))` if the node split. The caller is responsible for refreshing
-    /// its own entry for the *left* (existing) child, which it does by
-    /// re-reading the child's page digest.
-    fn insert_rec(
-        &mut self,
-        page_id: PageId,
-        key: RecordKey,
-        rid: u64,
-        digest: Digest,
-    ) -> StorageResult<Option<(RecordKey, PageId, Digest)>> {
-        let mut node = self.read_node(page_id)?;
-        match node.kind {
-            MbNodeKind::Leaf => {
-                let pos = node
-                    .entries
-                    .partition_point(|e| (e.key, e.ptr) <= (key, rid));
-                node.entries.insert(
-                    pos,
-                    MbEntry {
-                        key,
-                        ptr: rid,
-                        digest,
-                    },
-                );
-                if node.entries.len() <= MB_LEAF_CAPACITY {
-                    self.write_node(page_id, &node)?;
-                    return Ok(None);
-                }
-                let mid = node.entries.len() / 2;
-                let right_entries = node.entries.split_off(mid);
-                let right_id = self.store.allocate()?;
-                let mut right = MbNode::new_leaf();
-                right.entries = right_entries;
-                right.next_leaf = node.next_leaf;
-                node.next_leaf = right_id;
-                self.write_node(right_id, &right)?;
-                self.write_node(page_id, &node)?;
-                self.node_count += 1;
-                Ok(Some((
-                    right.min_key(),
-                    right_id,
-                    right.page_digest(self.alg),
-                )))
-            }
-            MbNodeKind::Internal => {
-                // Insert descent: last child whose min key <= key.
-                let idx = node
-                    .entries
-                    .partition_point(|e| e.key <= key)
-                    .saturating_sub(1);
-                let child_id = node.entries[idx].child();
-                let split = self.insert_rec(child_id, key, rid, digest)?;
-
-                // Refresh the modified child's entry (its digest, and possibly
-                // its min key if the new key became the subtree minimum).
-                let child = self.read_node(child_id)?;
-                node.entries[idx].digest = child.page_digest(self.alg);
-                node.entries[idx].key = child.min_key().min(node.entries[idx].key);
-
-                if let Some((split_key, split_page, split_digest)) = split {
-                    node.entries.insert(
-                        idx + 1,
-                        MbEntry {
-                            key: split_key,
-                            ptr: split_page.0,
-                            digest: split_digest,
-                        },
-                    );
-                }
-
-                if node.entries.len() <= MB_INTERNAL_CAPACITY {
-                    self.write_node(page_id, &node)?;
-                    return Ok(None);
-                }
-                let mid = node.entries.len() / 2;
-                let right_entries = node.entries.split_off(mid);
-                let right_id = self.store.allocate()?;
-                let mut right = MbNode::new_internal();
-                right.entries = right_entries;
-                self.write_node(right_id, &right)?;
-                self.write_node(page_id, &node)?;
-                self.node_count += 1;
-                Ok(Some((
-                    right.min_key(),
-                    right_id,
-                    right.page_digest(self.alg),
-                )))
-            }
-        }
-    }
-
-    // --------------------------------------------------------------- delete
 
     /// Deletes one entry matching `(key, record id)`, updating digests along
     /// the path. Returns `true` if an entry was removed.
     pub fn delete(&mut self, key: RecordKey, rid: u64) -> StorageResult<bool> {
-        let (removed, root_empty) = self.delete_rec(self.root, key, rid)?;
-        if removed {
-            self.len -= 1;
-        }
-        if root_empty {
-            self.write_node(self.root, &MbNode::new_leaf())?;
-            self.height = 1;
-            self.node_count = 1;
-        } else {
-            loop {
-                let node = self.read_node(self.root)?;
-                if node.kind == MbNodeKind::Internal && node.entries.len() == 1 {
-                    self.root = node.entries[0].child();
-                    self.height -= 1;
-                    self.node_count -= 1;
-                } else {
-                    break;
-                }
-            }
-        }
-        Ok(removed)
-    }
-
-    /// Recursive delete; returns `(removed, node_became_empty)`.
-    fn delete_rec(
-        &mut self,
-        page_id: PageId,
-        key: RecordKey,
-        rid: u64,
-    ) -> StorageResult<(bool, bool)> {
-        let mut node = self.read_node(page_id)?;
-        match node.kind {
-            MbNodeKind::Leaf => {
-                let Some(pos) = node
-                    .entries
-                    .iter()
-                    .position(|e| e.key == key && e.ptr == rid)
-                else {
-                    return Ok((false, false));
-                };
-                node.entries.remove(pos);
-                let empty = node.entries.is_empty();
-                self.write_node(page_id, &node)?;
-                Ok((true, empty))
-            }
-            MbNodeKind::Internal => {
-                // Start at the first child whose subtree may contain the key
-                // and move right while following children can still hold it.
-                let mut idx = node.child_index_for_lower_bound(key);
-                loop {
-                    let child_id = node.entries[idx].child();
-                    let (removed, child_empty) = self.delete_rec(child_id, key, rid)?;
-                    if removed {
-                        if child_empty {
-                            node.entries.remove(idx);
-                            self.node_count -= 1;
-                        } else {
-                            let child = self.read_node(child_id)?;
-                            node.entries[idx].digest = child.page_digest(self.alg);
-                            node.entries[idx].key = child.min_key();
-                        }
-                        let empty = node.entries.is_empty();
-                        self.write_node(page_id, &node)?;
-                        return Ok((true, empty));
-                    }
-                    if idx + 1 < node.entries.len() && node.entries[idx + 1].key <= key {
-                        idx += 1;
-                    } else {
-                        return Ok((false, false));
-                    }
-                }
-            }
-        }
+        Ok(self.0.take(key, rid)?.is_some())
     }
 
     // ------------------------------------------------------- VO generation
@@ -449,7 +93,7 @@ impl MbTree {
 
         let mut items = Vec::new();
         self.build_vo(
-            self.root,
+            self.root(),
             q,
             ext_lower,
             ext_upper,
@@ -479,7 +123,7 @@ impl MbTree {
         let node = self.read_node(page_id)?;
         items.push(VoItem::NodeBegin);
         match node.kind {
-            MbNodeKind::Leaf => {
+            NodeKind::Leaf => {
                 let mut run = 0u32;
                 for e in &node.entries {
                     let is_pred = pred == Some((e.key, e.ptr));
@@ -502,7 +146,7 @@ impl MbTree {
                     items.push(VoItem::ResultRun(run));
                 }
             }
-            MbNodeKind::Internal => {
+            NodeKind::Internal => {
                 for (i, e) in node.entries.iter().enumerate() {
                     let subtree_low = e.key;
                     let subtree_high = node
@@ -530,150 +174,6 @@ impl MbTree {
         }
         items.push(VoItem::NodeEnd);
         Ok(())
-    }
-
-    /// The last entry (in `(key, rid)` order) whose key is strictly below
-    /// `bound` — the left boundary record of a query with lower bound `bound`.
-    pub fn find_predecessor(&self, bound: RecordKey) -> StorageResult<Option<(RecordKey, u64)>> {
-        self.find_predecessor_in(self.root, bound)
-    }
-
-    fn find_predecessor_in(
-        &self,
-        page_id: PageId,
-        bound: RecordKey,
-    ) -> StorageResult<Option<(RecordKey, u64)>> {
-        let node = self.read_node(page_id)?;
-        match node.kind {
-            MbNodeKind::Leaf => Ok(node
-                .entries
-                .iter()
-                .rev()
-                .find(|e| e.key < bound)
-                .map(|e| (e.key, e.ptr))),
-            MbNodeKind::Internal => {
-                let idx = node.entries.partition_point(|e| e.key < bound);
-                if idx == 0 {
-                    return Ok(None);
-                }
-                self.find_predecessor_in(node.entries[idx - 1].child(), bound)
-            }
-        }
-    }
-
-    /// The first entry (in `(key, rid)` order) whose key is strictly above
-    /// `bound` — the right boundary record of a query with upper bound `bound`.
-    pub fn find_successor(&self, bound: RecordKey) -> StorageResult<Option<(RecordKey, u64)>> {
-        self.find_successor_in(self.root, bound)
-    }
-
-    fn find_successor_in(
-        &self,
-        page_id: PageId,
-        bound: RecordKey,
-    ) -> StorageResult<Option<(RecordKey, u64)>> {
-        let node = self.read_node(page_id)?;
-        match node.kind {
-            MbNodeKind::Leaf => Ok(node
-                .entries
-                .iter()
-                .find(|e| e.key > bound)
-                .map(|e| (e.key, e.ptr))),
-            MbNodeKind::Internal => {
-                let partition = node.entries.partition_point(|e| e.key <= bound);
-                if partition == 0 {
-                    // Every subtree starts above the bound.
-                    return self.first_entry(node.entries[0].child());
-                }
-                let idx = partition - 1;
-                if let Some(found) = self.find_successor_in(node.entries[idx].child(), bound)? {
-                    return Ok(Some(found));
-                }
-                if partition < node.entries.len() {
-                    return self.first_entry(node.entries[partition].child());
-                }
-                Ok(None)
-            }
-        }
-    }
-
-    fn first_entry(&self, page_id: PageId) -> StorageResult<Option<(RecordKey, u64)>> {
-        let node = self.read_node(page_id)?;
-        match node.kind {
-            MbNodeKind::Leaf => Ok(node.entries.first().map(|e| (e.key, e.ptr))),
-            MbNodeKind::Internal => match node.entries.first() {
-                Some(e) => self.first_entry(e.child()),
-                None => Ok(None),
-            },
-        }
-    }
-
-    // ----------------------------------------------------------- invariants
-
-    /// Checks structural and digest invariants; panics on violation (tests).
-    pub fn check_invariants(&self) -> StorageResult<()> {
-        let mut entry_total = 0u64;
-        let mut node_total = 0u64;
-        let mut leaf_pages = Vec::new();
-        self.check_node(
-            self.root,
-            1,
-            &mut entry_total,
-            &mut node_total,
-            &mut leaf_pages,
-        )?;
-        assert_eq!(entry_total, self.len, "entry count mismatch");
-        assert_eq!(node_total, self.node_count, "node count mismatch");
-        for w in leaf_pages.windows(2) {
-            let left = self.read_node(w[0])?;
-            assert_eq!(left.next_leaf, w[1], "broken leaf chain");
-        }
-        if let Some(last) = leaf_pages.last() {
-            assert!(self.read_node(*last)?.next_leaf.is_invalid());
-        }
-        Ok(())
-    }
-
-    fn check_node(
-        &self,
-        page_id: PageId,
-        depth: u32,
-        entry_total: &mut u64,
-        node_total: &mut u64,
-        leaf_pages: &mut Vec<PageId>,
-    ) -> StorageResult<Digest> {
-        *node_total += 1;
-        let node = self.read_node(page_id)?;
-        assert!(
-            node.entries.windows(2).all(|w| w[0].key <= w[1].key),
-            "entries out of key order"
-        );
-        match node.kind {
-            MbNodeKind::Leaf => {
-                assert_eq!(depth, self.height, "leaf at wrong depth");
-                *entry_total += node.entries.len() as u64;
-                leaf_pages.push(page_id);
-            }
-            MbNodeKind::Internal => {
-                assert!(depth < self.height, "internal node at leaf depth");
-                for e in &node.entries {
-                    let child_digest =
-                        self.check_node(e.child(), depth + 1, entry_total, node_total, leaf_pages)?;
-                    assert_eq!(
-                        e.digest,
-                        child_digest,
-                        "stale digest for child {:?}",
-                        e.child()
-                    );
-                    let child = self.read_node(e.child())?;
-                    assert!(
-                        child.min_key() >= e.key,
-                        "child min key below the separator"
-                    );
-                }
-            }
-        }
-        Ok(node.page_digest(self.alg))
     }
 }
 
@@ -768,7 +268,7 @@ mod tests {
     #[test]
     fn digests_stay_consistent_across_splits() {
         let mut tree = MbTree::new(MemPager::new_shared(), HashAlgorithm::Sha1).unwrap();
-        let n = 3 * MB_LEAF_CAPACITY as u64 + 17;
+        let n = 3 * sae_btree::AUG_CAPACITY as u64 + 17;
         for i in 0..n {
             let r = rec(i, (i % 977) as u32);
             tree.insert(r.key, r.id, r.digest(HashAlgorithm::Sha1))
@@ -876,11 +376,11 @@ mod tests {
         let entries = entries_for(&records);
         let tree =
             MbTree::bulk_load(MemPager::new_shared(), HashAlgorithm::Sha1, &entries).unwrap();
-        let stats = tree.stats();
-        assert_eq!(stats.entry_count, 1_000);
-        assert_eq!(stats.storage_bytes, stats.node_count * PAGE_SIZE as u64);
+        let meta = tree.meta();
+        assert_eq!(meta.len, 1_000);
         // 1000 / 127 = 8 leaves + 1 root.
-        assert_eq!(stats.node_count, 9);
-        assert_eq!(stats.height, 2);
+        assert_eq!(meta.node_count, 9);
+        assert_eq!(meta.height, 2);
+        assert_eq!(tree.storage_bytes(), 9 * sae_storage::PAGE_SIZE as u64);
     }
 }

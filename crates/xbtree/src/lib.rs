@@ -26,7 +26,13 @@
 //! unique keys a dedicated page per distinct key would waste two orders of
 //! magnitude of space, while the packed layout preserves the algorithmic
 //! costs (logarithmic VT generation and maintenance, tiny TE footprint) that
-//! the evaluation measures. The substitution is documented in `DESIGN.md`.
+//! the evaluation measures. The substitution is documented in
+//! `docs/architecture.md` ("The index layer").
+//!
+//! The tree itself is [`sae_btree::AugTree`] under the
+//! [`sae_btree::XorFold`] augmentation — the same 127-way min-key tree as
+//! TOM's MB-Tree, so the Figure 6 comparison differs only in what an entry
+//! summarises. This crate adds what is specific to the TE: `GenerateVT`.
 //!
 //! The crate also provides [`scan::TupleStore`], the "no index" baseline the
 //! paper motivates the XB-Tree against (ablation E5).
@@ -34,10 +40,8 @@
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod node;
 pub mod scan;
 pub mod tree;
 
-pub use node::{XbEntry, XbNode, XbNodeKind, XB_INTERNAL_CAPACITY, XB_LEAF_CAPACITY};
 pub use scan::TupleStore;
-pub use tree::{VerificationToken, XbTree, XbTreeStats};
+pub use tree::{VerificationToken, XbTree};

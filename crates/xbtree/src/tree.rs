@@ -1,119 +1,47 @@
 //! The XB-Tree and its `GenerateVT` traversal.
 
-use crate::node::{XbEntry, XbNode, XbNodeKind, XB_INTERNAL_CAPACITY, XB_LEAF_CAPACITY};
+use sae_btree::{AugEntry, AugTree, NodeKind, XorFold};
 use sae_crypto::Digest;
-use sae_storage::{PageId, SharedPageStore, StorageError, StorageResult, TreeMeta, PAGE_SIZE};
+use sae_storage::{PageId, SharedPageStore, StorageResult, TreeMeta};
 use sae_workload::{RangeQuery, RecordKey, TeTuple};
+use std::ops::Deref;
 
 /// The verification token: the XOR of the digests of every record that
 /// qualifies the query. Always exactly 20 bytes, independent of result size.
 pub type VerificationToken = Digest;
 
-/// Shape statistics for the XB-Tree.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct XbTreeStats {
-    /// Number of levels (1 = root is a leaf).
-    pub height: u32,
-    /// Number of nodes (pages).
-    pub node_count: u64,
-    /// Number of TE tuples stored.
-    pub entry_count: u64,
-    /// Bytes occupied by the tree's pages.
-    pub storage_bytes: u64,
+/// A disk-based XOR B-Tree over the trusted entity's tuples: the shared
+/// [`AugTree`] under [`XorFold`], whose leaf entries are TE tuples
+/// `(key, id, digest)`. Shape accessors (`len`, `height`, `meta`,
+/// `storage_bytes`, `check_invariants`, ...) come from the [`AugTree`] it
+/// dereferences to.
+pub struct XbTree(AugTree<XorFold>);
+
+impl Deref for XbTree {
+    type Target = AugTree<XorFold>;
+
+    fn deref(&self) -> &AugTree<XorFold> {
+        &self.0
+    }
 }
 
-/// A disk-based XOR B-Tree over the trusted entity's tuples.
-pub struct XbTree {
-    store: SharedPageStore,
-    root: PageId,
-    height: u32,
-    len: u64,
-    node_count: u64,
+fn tuple_entry(t: &TeTuple) -> AugEntry {
+    AugEntry {
+        key: t.key,
+        ptr: t.id,
+        digest: t.digest,
+    }
 }
 
 impl XbTree {
     /// Creates an empty XB-Tree.
     pub fn new(store: SharedPageStore) -> StorageResult<Self> {
-        let root = store.allocate()?;
-        store.write(root, &XbNode::new_leaf().to_page())?;
-        Ok(XbTree {
-            store,
-            root,
-            height: 1,
-            len: 0,
-            node_count: 1,
-        })
+        AugTree::new(store, XorFold).map(XbTree)
     }
 
     /// Bulk-loads from TE tuples sorted by `(key, id)`.
     pub fn bulk_load(store: SharedPageStore, tuples: &[TeTuple]) -> StorageResult<Self> {
-        assert!(
-            tuples
-                .windows(2)
-                .all(|w| (w[0].key, w[0].id) <= (w[1].key, w[1].id)),
-            "bulk_load requires tuples sorted by (key, id)"
-        );
-        if tuples.is_empty() {
-            return Self::new(store);
-        }
-        let mut node_count = 0u64;
-
-        let chunks: Vec<&[TeTuple]> = tuples.chunks(XB_LEAF_CAPACITY).collect();
-        let mut pages = Vec::with_capacity(chunks.len());
-        for _ in 0..chunks.len() {
-            pages.push(store.allocate()?);
-        }
-        // (min key, page, subtree xor)
-        let mut level: Vec<(RecordKey, PageId, Digest)> = Vec::with_capacity(chunks.len());
-        for (i, chunk) in chunks.iter().enumerate() {
-            let mut node = XbNode::new_leaf();
-            node.entries = chunk
-                .iter()
-                .map(|t| XbEntry {
-                    key: t.key,
-                    ptr: t.id,
-                    x: t.digest,
-                })
-                .collect();
-            node.next_leaf = if i + 1 < pages.len() {
-                pages[i + 1]
-            } else {
-                PageId::INVALID
-            };
-            store.write(pages[i], &node.to_page())?;
-            node_count += 1;
-            level.push((chunk[0].key, pages[i], node.node_xor()));
-        }
-
-        let mut height = 1u32;
-        while level.len() > 1 {
-            let mut next_level = Vec::new();
-            for group in level.chunks(XB_INTERNAL_CAPACITY) {
-                let mut node = XbNode::new_internal();
-                node.entries = group
-                    .iter()
-                    .map(|&(key, page, x)| XbEntry {
-                        key,
-                        ptr: page.0,
-                        x,
-                    })
-                    .collect();
-                let page_id = store.allocate()?;
-                store.write(page_id, &node.to_page())?;
-                node_count += 1;
-                next_level.push((group[0].0, page_id, node.node_xor()));
-            }
-            level = next_level;
-            height += 1;
-        }
-
-        Ok(XbTree {
-            store,
-            root: level[0].1,
-            height,
-            len: tuples.len() as u64,
-            node_count,
-        })
+        AugTree::bulk_load(store, XorFold, tuples, tuple_entry).map(XbTree)
     }
 
     /// Reopens a tree from its persisted root and shape (as recorded in a
@@ -121,96 +49,14 @@ impl XbTree {
     /// Only cheap sanity checks run here; the trusted entity additionally
     /// cross-checks [`XbTree::total_xor`] against its published digest.
     pub fn open(store: SharedPageStore, meta: TreeMeta) -> StorageResult<Self> {
-        if meta.root.is_invalid() || meta.root.0 >= store.page_count() {
-            return Err(StorageError::Corrupted(format!(
-                "XB-Tree root {} outside the store's {} pages",
-                meta.root,
-                store.page_count()
-            )));
-        }
-        if meta.height == 0 || meta.node_count == 0 {
-            return Err(StorageError::Corrupted(
-                "XB-Tree meta claims zero height or zero nodes".into(),
-            ));
-        }
-        Ok(XbTree {
-            store,
-            root: meta.root,
-            height: meta.height,
-            len: meta.len,
-            node_count: meta.node_count,
-        })
-    }
-
-    /// The page store this tree lives on.
-    pub fn store(&self) -> &SharedPageStore {
-        &self.store
-    }
-
-    /// The root page (persisted by durable deployments so the tree can be
-    /// reopened with [`XbTree::open`]).
-    pub fn root(&self) -> PageId {
-        self.root
-    }
-
-    /// The tree's persistable root + shape metadata.
-    pub fn meta(&self) -> TreeMeta {
-        TreeMeta {
-            root: self.root,
-            height: self.height,
-            len: self.len,
-            node_count: self.node_count,
-        }
-    }
-
-    /// Number of tuples stored.
-    pub fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// Whether the tree is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Number of levels.
-    pub fn height(&self) -> u32 {
-        self.height
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> u64 {
-        self.node_count
-    }
-
-    /// Bytes occupied by the tree's pages.
-    pub fn storage_bytes(&self) -> u64 {
-        self.node_count * PAGE_SIZE as u64
-    }
-
-    /// Shape statistics.
-    pub fn stats(&self) -> XbTreeStats {
-        XbTreeStats {
-            height: self.height,
-            node_count: self.node_count,
-            entry_count: self.len,
-            storage_bytes: self.storage_bytes(),
-        }
-    }
-
-    fn read_node(&self, id: PageId) -> StorageResult<XbNode> {
-        Ok(XbNode::from_page(&self.store.read(id)?))
-    }
-
-    fn write_node(&self, id: PageId, node: &XbNode) -> StorageResult<()> {
-        self.store.write(id, &node.to_page())
+        AugTree::open(store, XorFold, meta).map(XbTree)
     }
 
     /// The XOR of every tuple digest in the tree (useful for consistency
     /// checks: it must stay equal to the XOR of all inserted minus deleted
     /// digests).
     pub fn total_xor(&self) -> StorageResult<Digest> {
-        Ok(self.read_node(self.root)?.node_xor())
+        self.0.root_digest()
     }
 
     // ---------------------------------------------------------- GenerateVT
@@ -224,7 +70,7 @@ impl XbTree {
     /// `O(log n)` nodes independent of the result cardinality.
     pub fn generate_vt(&self, q: &RangeQuery) -> StorageResult<VerificationToken> {
         let mut vt = Digest::ZERO;
-        self.generate_vt_rec(self.root, q, &mut vt)?;
+        self.generate_vt_rec(self.root(), q, &mut vt)?;
         Ok(vt)
     }
 
@@ -236,14 +82,14 @@ impl XbTree {
     ) -> StorageResult<()> {
         let node = self.read_node(page_id)?;
         match node.kind {
-            XbNodeKind::Leaf => {
+            NodeKind::Leaf => {
                 for e in &node.entries {
                     if q.contains(e.key) {
-                        *vt ^= e.x;
+                        *vt ^= e.digest;
                     }
                 }
             }
-            XbNodeKind::Internal => {
+            NodeKind::Internal => {
                 for (i, e) in node.entries.iter().enumerate() {
                     // The subtree below entry i holds keys in
                     // [e.key, next entry's key] (closed: duplicates may equal
@@ -260,7 +106,7 @@ impl XbTree {
                     if low >= q.lower && high <= q.upper {
                         // Fully covered: use the pre-aggregated X value
                         // (lines 2-3 of the paper's Figure 4).
-                        *vt ^= e.x;
+                        *vt ^= e.digest;
                     } else {
                         // Partial overlap: recurse (lines 6-8).
                         self.generate_vt_rec(e.child(), q, vt)?;
@@ -271,120 +117,12 @@ impl XbTree {
         Ok(())
     }
 
-    // --------------------------------------------------------------- insert
+    // ------------------------------------------------------------- updates
 
     /// Inserts a TE tuple, patching the XOR aggregates along the path.
     pub fn insert(&mut self, tuple: TeTuple) -> StorageResult<()> {
-        if let Some((split_key, split_page, split_x)) = self.insert_rec(self.root, &tuple)? {
-            let old_root = self.read_node(self.root)?;
-            let mut new_root = XbNode::new_internal();
-            new_root.entries.push(XbEntry {
-                key: old_root.min_key(),
-                ptr: self.root.0,
-                x: old_root.node_xor(),
-            });
-            new_root.entries.push(XbEntry {
-                key: split_key,
-                ptr: split_page.0,
-                x: split_x,
-            });
-            let new_root_id = self.store.allocate()?;
-            self.write_node(new_root_id, &new_root)?;
-            self.root = new_root_id;
-            self.height += 1;
-            self.node_count += 1;
-        }
-        self.len += 1;
-        Ok(())
+        self.0.insert(tuple_entry(&tuple))
     }
-
-    /// Recursive insert. Returns split info `(right min key, right page,
-    /// right subtree XOR)` if the node split.
-    fn insert_rec(
-        &mut self,
-        page_id: PageId,
-        tuple: &TeTuple,
-    ) -> StorageResult<Option<(RecordKey, PageId, Digest)>> {
-        let mut node = self.read_node(page_id)?;
-        match node.kind {
-            XbNodeKind::Leaf => {
-                let pos = node
-                    .entries
-                    .partition_point(|e| (e.key, e.ptr) <= (tuple.key, tuple.id));
-                node.entries.insert(
-                    pos,
-                    XbEntry {
-                        key: tuple.key,
-                        ptr: tuple.id,
-                        x: tuple.digest,
-                    },
-                );
-                if node.entries.len() <= XB_LEAF_CAPACITY {
-                    self.write_node(page_id, &node)?;
-                    return Ok(None);
-                }
-                let mid = node.entries.len() / 2;
-                let right_entries = node.entries.split_off(mid);
-                let right_id = self.store.allocate()?;
-                let mut right = XbNode::new_leaf();
-                right.entries = right_entries;
-                right.next_leaf = node.next_leaf;
-                node.next_leaf = right_id;
-                self.write_node(right_id, &right)?;
-                self.write_node(page_id, &node)?;
-                self.node_count += 1;
-                Ok(Some((right.min_key(), right_id, right.node_xor())))
-            }
-            XbNodeKind::Internal => {
-                let idx = node
-                    .entries
-                    .partition_point(|e| e.key <= tuple.key)
-                    .saturating_sub(1);
-                let child_id = node.entries[idx].child();
-                let split = self.insert_rec(child_id, tuple)?;
-
-                // Patch the aggregate: the child gained exactly this digest
-                // (whichever half of a split it ended up in is irrelevant for
-                // the XOR of the *pair*, but the left entry must reflect only
-                // the left half, so re-read its local aggregate on splits).
-                if split.is_some() {
-                    let child = self.read_node(child_id)?;
-                    node.entries[idx].x = child.node_xor();
-                    node.entries[idx].key = child.min_key();
-                } else {
-                    node.entries[idx].x ^= tuple.digest;
-                    node.entries[idx].key = node.entries[idx].key.min(tuple.key);
-                }
-
-                if let Some((split_key, split_page, split_x)) = split {
-                    node.entries.insert(
-                        idx + 1,
-                        XbEntry {
-                            key: split_key,
-                            ptr: split_page.0,
-                            x: split_x,
-                        },
-                    );
-                }
-
-                if node.entries.len() <= XB_INTERNAL_CAPACITY {
-                    self.write_node(page_id, &node)?;
-                    return Ok(None);
-                }
-                let mid = node.entries.len() / 2;
-                let right_entries = node.entries.split_off(mid);
-                let right_id = self.store.allocate()?;
-                let mut right = XbNode::new_internal();
-                right.entries = right_entries;
-                self.write_node(right_id, &right)?;
-                self.write_node(page_id, &node)?;
-                self.node_count += 1;
-                Ok(Some((right.min_key(), right_id, right.node_xor())))
-            }
-        }
-    }
-
-    // --------------------------------------------------------------- delete
 
     /// Deletes the tuple with the given `(key, id)`, patching the XOR
     /// aggregates along the path. Returns `true` if a tuple was removed.
@@ -396,142 +134,7 @@ impl XbTree {
     /// caller coordinating multiple parties can re-insert the tuple to roll
     /// the deletion back. Returns `Ok(None)` if no tuple matched.
     pub fn take(&mut self, key: RecordKey, id: u64) -> StorageResult<Option<Digest>> {
-        let outcome = self.delete_rec(self.root, key, id)?;
-        let removed = outcome.is_some();
-        if removed {
-            self.len -= 1;
-        }
-        if let Some((_, true)) = outcome {
-            self.write_node(self.root, &XbNode::new_leaf())?;
-            self.height = 1;
-            self.node_count = 1;
-        } else {
-            loop {
-                let node = self.read_node(self.root)?;
-                if node.kind == XbNodeKind::Internal && node.entries.len() == 1 {
-                    self.root = node.entries[0].child();
-                    self.height -= 1;
-                    self.node_count -= 1;
-                } else {
-                    break;
-                }
-            }
-        }
-        Ok(outcome.map(|(digest, _)| digest))
-    }
-
-    /// Recursive delete. Returns `Some((removed digest, node became empty))`
-    /// if the tuple was found under this node.
-    fn delete_rec(
-        &mut self,
-        page_id: PageId,
-        key: RecordKey,
-        id: u64,
-    ) -> StorageResult<Option<(Digest, bool)>> {
-        let mut node = self.read_node(page_id)?;
-        match node.kind {
-            XbNodeKind::Leaf => {
-                let Some(pos) = node
-                    .entries
-                    .iter()
-                    .position(|e| e.key == key && e.ptr == id)
-                else {
-                    return Ok(None);
-                };
-                let digest = node.entries[pos].x;
-                node.entries.remove(pos);
-                let empty = node.entries.is_empty();
-                self.write_node(page_id, &node)?;
-                Ok(Some((digest, empty)))
-            }
-            XbNodeKind::Internal => {
-                let mut idx = node.child_index_for_lower_bound(key);
-                loop {
-                    let child_id = node.entries[idx].child();
-                    if let Some((digest, child_empty)) = self.delete_rec(child_id, key, id)? {
-                        if child_empty {
-                            node.entries.remove(idx);
-                            self.node_count -= 1;
-                        } else {
-                            let child = self.read_node(child_id)?;
-                            node.entries[idx].x ^= digest;
-                            node.entries[idx].key = child.min_key();
-                        }
-                        let empty = node.entries.is_empty();
-                        self.write_node(page_id, &node)?;
-                        return Ok(Some((digest, empty)));
-                    }
-                    if idx + 1 < node.entries.len() && node.entries[idx + 1].key <= key {
-                        idx += 1;
-                    } else {
-                        return Ok(None);
-                    }
-                }
-            }
-        }
-    }
-
-    // ----------------------------------------------------------- invariants
-
-    /// Checks structural and aggregate invariants; panics on violation.
-    pub fn check_invariants(&self) -> StorageResult<()> {
-        let mut entry_total = 0u64;
-        let mut node_total = 0u64;
-        let mut leaf_pages = Vec::new();
-        self.check_node(
-            self.root,
-            1,
-            &mut entry_total,
-            &mut node_total,
-            &mut leaf_pages,
-        )?;
-        assert_eq!(entry_total, self.len, "tuple count mismatch");
-        assert_eq!(node_total, self.node_count, "node count mismatch");
-        for w in leaf_pages.windows(2) {
-            assert_eq!(self.read_node(w[0])?.next_leaf, w[1], "broken leaf chain");
-        }
-        if let Some(last) = leaf_pages.last() {
-            assert!(self.read_node(*last)?.next_leaf.is_invalid());
-        }
-        Ok(())
-    }
-
-    /// Returns the subtree XOR, verified bottom-up.
-    fn check_node(
-        &self,
-        page_id: PageId,
-        depth: u32,
-        entry_total: &mut u64,
-        node_total: &mut u64,
-        leaf_pages: &mut Vec<PageId>,
-    ) -> StorageResult<Digest> {
-        *node_total += 1;
-        let node = self.read_node(page_id)?;
-        assert!(
-            node.entries.windows(2).all(|w| w[0].key <= w[1].key),
-            "entries out of key order"
-        );
-        match node.kind {
-            XbNodeKind::Leaf => {
-                assert_eq!(depth, self.height, "leaf at wrong depth");
-                *entry_total += node.entries.len() as u64;
-                leaf_pages.push(page_id);
-                Ok(node.node_xor())
-            }
-            XbNodeKind::Internal => {
-                assert!(depth < self.height, "internal node at leaf depth");
-                let mut acc = Digest::ZERO;
-                for e in &node.entries {
-                    let child_xor =
-                        self.check_node(e.child(), depth + 1, entry_total, node_total, leaf_pages)?;
-                    assert_eq!(e.x, child_xor, "stale X aggregate for {:?}", e.child());
-                    let child = self.read_node(e.child())?;
-                    assert!(child.min_key() >= e.key, "child min below separator");
-                    acc ^= child_xor;
-                }
-                Ok(acc)
-            }
-        }
+        self.0.take(key, id)
     }
 }
 
@@ -679,7 +282,7 @@ mod tests {
     #[test]
     fn inserts_splits_keep_aggregates_consistent() {
         let mut tree = XbTree::new(MemPager::new_shared()).unwrap();
-        let n = 3 * XB_LEAF_CAPACITY as u64 + 11;
+        let n = 3 * sae_btree::AUG_CAPACITY as u64 + 11;
         let ts = tuples(n, |i| (i % 997) as u32);
         for t in &ts {
             tree.insert(*t).unwrap();
@@ -786,8 +389,9 @@ mod tests {
         let tree = XbTree::bulk_load(MemPager::new_shared(), &ts).unwrap();
         let dataset_bytes = 10_000u64 * 500;
         assert!(tree.storage_bytes() * 6 < dataset_bytes);
-        let stats = tree.stats();
-        assert_eq!(stats.entry_count, 10_000);
-        assert_eq!(stats.storage_bytes, tree.storage_bytes());
+        assert_eq!(tree.len(), 10_000);
+        // 79 full leaves (127 tuples each) under one root.
+        assert_eq!(tree.node_count(), 80);
+        assert_eq!(tree.storage_bytes(), 80 * sae_storage::PAGE_SIZE as u64);
     }
 }
