@@ -5,30 +5,28 @@
 //! cargo run --release -p sae-bench --bin experiments -- fig6 --full-scale
 //! cargo run --release -p sae-bench --bin experiments -- fig5 --json out.json
 //! cargo run --release -p sae-bench --bin experiments -- ablation-scan
-//! cargo run --release -p sae-bench --bin experiments -- throughput --smoke --json tp.json
-//! cargo run --release -p sae-bench --bin experiments -- sharded-throughput
+//! cargo run --release -p sae-bench --bin experiments -- group-commit --smoke --json gc.json
 //! ```
 //!
 //! Figures 5–8 share one measurement sweep (each `(distribution, n)` pair is
 //! built and queried once); the requested subcommand controls which tables
 //! are printed. `--full-scale` switches from the CI-friendly 1/10 scale to
 //! the paper's 100 K – 1 M records. Unrecognized arguments are rejected with
-//! a nonzero exit instead of being silently ignored.
+//! a nonzero exit instead of being silently ignored. The wall-clock cost of a
+//! verified query or a durable write is measured by `benchmark/`, not here.
 
 use sae_bench::{
-    print_ablation_memory, print_ablation_scan, print_ablation_updates, print_durability,
-    print_fanout, print_fig5, print_fig6, print_fig7, print_fig8, print_group_commit, print_net,
-    print_replicas, print_sharded_throughput, print_throughput, print_wal, report_to_json,
+    print_ablation_memory, print_ablation_scan, print_ablation_updates, print_fanout, print_fig5,
+    print_fig6, print_fig7, print_fig8, print_group_commit, print_replicas, report_to_json,
     rows_to_json, run_ablation_memory, run_ablation_scan, run_ablation_updates, run_comparison,
-    run_durability, run_fanout, run_group_commit, run_net, run_replicas, run_sharded_throughput,
-    run_throughput, run_wal, DurabilityConfig, ExperimentConfig, FanoutConfig, GroupCommitConfig,
-    NetConfig, ReplicasConfig, ShardedThroughputConfig, ThroughputConfig, WalConfig,
+    run_fanout, run_group_commit, run_replicas, ExperimentConfig, FanoutConfig, GroupCommitConfig,
+    ReplicasConfig,
 };
 
 const USAGE: &str = "usage: experiments \
-     <fig5|fig6|fig7|fig8|all|ablation-scan|ablation-updates|ablation-memory|throughput\
-|sharded-throughput|durability|group-commit|wal|net|replicas|fanout> \
-     [--full-scale] [--smoke] [--zipf] [--json <path>]
+     <fig5|fig6|fig7|fig8|all|ablation-scan|ablation-updates|ablation-memory|group-commit\
+|replicas|fanout> \
+     [--full-scale] [--smoke] [--json <path>]
 
 exit codes (shared convention with sae-analyzer):
     0  all experiments ran and every row verified
@@ -41,7 +39,6 @@ struct Cli {
     command: String,
     full_scale: bool,
     smoke: bool,
-    zipf: bool,
     json_path: Option<String>,
 }
 
@@ -61,16 +58,13 @@ impl Cli {
             "ablation-scan" | "ablation-updates" | "ablation-memory" => {
                 &["--full-scale", "--smoke"]
             }
-            "throughput" => &["--smoke", "--zipf", "--json"],
-            "sharded-throughput" | "durability" | "group-commit" | "wal" | "net" | "replicas"
-            | "fanout" => &["--smoke", "--json"],
+            "group-commit" | "replicas" | "fanout" => &["--smoke", "--json"],
             other => return Err(format!("unknown command `{other}`")),
         };
         let mut cli = Cli {
             command: command.clone(),
             full_scale: false,
             smoke: false,
-            zipf: false,
             json_path: None,
         };
         let mut it = flags.iter();
@@ -83,7 +77,6 @@ impl Cli {
             match flag.as_str() {
                 "--full-scale" => cli.full_scale = true,
                 "--smoke" => cli.smoke = true,
-                "--zipf" => cli.zipf = true,
                 "--json" => match it.next() {
                     Some(path) => cli.json_path = Some(path.clone()),
                     None => return Err("--json requires a path argument".to_string()),
@@ -170,81 +163,6 @@ fn run(cli: &Cli) -> Result<bool, String> {
             }
             rows.iter().all(|r| r.sae.verified && r.tom.verified)
         }
-        "throughput" => {
-            let tp_config = ThroughputConfig {
-                zipf_placement: cli.zipf,
-                ..if cli.smoke {
-                    ThroughputConfig::smoke()
-                } else {
-                    ThroughputConfig::default()
-                }
-            };
-            println!(
-                "throughput experiment — n={}, {} queries, {} µs simulated I/O per query, \
-                 {}-page buffer pool per party",
-                tp_config.cardinality,
-                tp_config.total_queries,
-                tp_config.io_micros_per_query,
-                tp_config.cache_pages
-            );
-            let rows = run_throughput(&tp_config);
-            print_throughput(&rows);
-            if let Some(path) = &cli.json_path {
-                write_json(path, report_to_json(&rows))?;
-            }
-            rows.iter().all(|r| r.all_verified)
-        }
-        "sharded-throughput" => {
-            let sh_config = if cli.smoke {
-                ShardedThroughputConfig::smoke()
-            } else {
-                ShardedThroughputConfig::default()
-            };
-            println!(
-                "sharded-throughput experiment — n={}, shards {:?}, threads {:?}, \
-                 {} ops per client, {} µs simulated I/O per op, {}-page buffer pool per shard",
-                sh_config.cardinality,
-                sh_config.shard_counts,
-                sh_config.thread_counts,
-                sh_config.ops_per_client,
-                sh_config.io_micros_per_op,
-                sh_config.cache_pages
-            );
-            let rows = run_sharded_throughput(&sh_config);
-            print_sharded_throughput(&rows);
-            if let Some(path) = &cli.json_path {
-                write_json(path, report_to_json(&rows))?;
-            }
-            rows.iter().all(|r| r.all_verified)
-        }
-        "durability" => {
-            let du_config = if cli.smoke {
-                DurabilityConfig::smoke()
-            } else {
-                DurabilityConfig::default()
-            };
-            println!(
-                "durability experiment — n={}, shards {:?}, {} post-reopen queries over {} \
-                 threads, {} committed updates, {}-page buffer pool per shard",
-                du_config.cardinality,
-                du_config.shard_counts,
-                du_config.queries,
-                du_config.threads,
-                du_config.updates,
-                du_config.cache_pages
-            );
-            // Unique per process so concurrent or previously interrupted
-            // runs cannot collide on a shared path.
-            let dir = std::env::temp_dir().join(format!("sae-durability-{}", std::process::id()));
-            std::fs::create_dir_all(&dir).expect("create temp dir");
-            let rows = run_durability(&du_config, &dir);
-            let _ = std::fs::remove_dir_all(&dir);
-            print_durability(&rows);
-            if let Some(path) = &cli.json_path {
-                write_json(path, report_to_json(&rows))?;
-            }
-            rows.iter().all(|r| r.all_verified)
-        }
         "group-commit" => {
             let gc_config = if cli.smoke {
                 GroupCommitConfig::smoke()
@@ -274,57 +192,6 @@ fn run(cli: &Cli) -> Result<bool, String> {
                 write_json(path, report_to_json(&rows))?;
             }
             rows.iter().all(|r| r.all_verified)
-        }
-        "wal" => {
-            let wal_config = if cli.smoke {
-                WalConfig::smoke()
-            } else {
-                WalConfig::default()
-            };
-            println!(
-                "wal experiment — n={}, {} shards, {} writers, {} durable write round trips per \
-                 writer, {} µs simulated fsync latency; immediate vs group, each killed with no \
-                 close and reopened via log replay",
-                wal_config.cardinality,
-                wal_config.shards,
-                wal_config.writers,
-                wal_config.ops_per_writer,
-                wal_config.sync_delay_micros
-            );
-            // Unique per process so concurrent or previously interrupted
-            // runs cannot collide on a shared path.
-            let dir = std::env::temp_dir().join(format!("sae-wal-{}", std::process::id()));
-            std::fs::create_dir_all(&dir).expect("create temp dir");
-            let rows = run_wal(&wal_config, &dir);
-            let _ = std::fs::remove_dir_all(&dir);
-            print_wal(&rows);
-            if let Some(path) = &cli.json_path {
-                write_json(path, report_to_json(&rows))?;
-            }
-            rows.iter().all(|r| r.all_verified && r.replay_recovered)
-        }
-        "net" => {
-            let net_config = if cli.smoke {
-                NetConfig::smoke()
-            } else {
-                NetConfig::default()
-            };
-            println!(
-                "net experiment — n={}, shard servers {:?}, {} range queries of {}% extent per \
-                 repeat over loopback TCP; every slice re-verified against the TE token, plus \
-                 byzantine-server and dropped-endpoint legs per row",
-                net_config.cardinality,
-                net_config.shard_counts,
-                net_config.queries,
-                net_config.query_extent * 100.0
-            );
-            let rows = run_net(&net_config);
-            print_net(&rows);
-            if let Some(path) = &cli.json_path {
-                write_json(path, report_to_json(&rows))?;
-            }
-            rows.iter()
-                .all(|r| r.all_verified && r.tamper_detected && r.drop_detected)
         }
         "replicas" => {
             let rp_config = if cli.smoke {
@@ -419,8 +286,17 @@ mod tests {
         assert!(Cli::parse(&strings(&["frobnicate"])).is_err());
         assert!(Cli::parse(&strings(&["--smoke"])).is_err());
         assert!(Cli::parse(&strings(&["fig5", "--bogus"])).is_err());
-        // --zipf exists, but only `throughput` consumes it.
         assert!(Cli::parse(&strings(&["fig5", "--zipf"])).is_err());
+        // Retired experiments are unknown commands.
+        for retired in [
+            "throughput",
+            "sharded-throughput",
+            "durability",
+            "wal",
+            "net",
+        ] {
+            assert!(Cli::parse(&strings(&[retired, "--smoke"])).is_err());
+        }
         assert!(Cli::parse(&strings(&["fig5", "--json"])).is_err());
         assert!(Cli::parse(&strings(&["fig5", "--full-scale", "--smoke"])).is_err());
     }
@@ -432,8 +308,6 @@ mod tests {
         assert!(cli.smoke);
         assert!(!cli.full_scale);
         assert_eq!(cli.json_path.as_deref(), Some("out.json"));
-        let cli = Cli::parse(&strings(&["throughput", "--zipf"])).unwrap();
-        assert!(cli.zipf);
         let cli = Cli::parse(&strings(&["fanout", "--smoke", "--json", "fo.json"])).unwrap();
         assert_eq!(cli.command, "fanout");
         assert!(cli.smoke);

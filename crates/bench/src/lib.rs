@@ -23,16 +23,13 @@ pub mod experiments;
 pub mod report;
 
 pub use experiments::{
-    run_ablation_memory, run_ablation_scan, run_ablation_updates, run_comparison, run_durability,
-    run_fanout, run_group_commit, run_net, run_replicas, run_sharded_throughput, run_throughput,
-    run_wal, AblationRow, ComparisonRow, DurabilityConfig, DurabilityRow, ExperimentConfig,
-    FanoutConfig, FanoutRow, GroupCommitConfig, GroupCommitRow, MemoryAblationRow, NetConfig,
-    NetRow, ReplicaRow, ReplicasConfig, ShardedThroughputConfig, ShardedThroughputRow,
-    SignatureScheme, ThroughputConfig, ThroughputRow, UpdateRow, WalConfig, WalRow,
+    run_ablation_memory, run_ablation_scan, run_ablation_updates, run_comparison, run_fanout,
+    run_group_commit, run_replicas, AblationRow, ComparisonRow, ExperimentConfig, FanoutConfig,
+    FanoutRow, GroupCommitConfig, GroupCommitRow, MemoryAblationRow, ReplicaRow, ReplicasConfig,
+    SignatureScheme, UpdateRow,
 };
 pub use report::{
-    print_ablation_memory, print_ablation_scan, print_ablation_updates, print_durability,
-    print_fanout, print_fig5, print_fig6, print_fig7, print_fig8, print_group_commit, print_net,
-    print_replicas, print_sharded_throughput, print_throughput, print_wal, report_to_json,
+    print_ablation_memory, print_ablation_scan, print_ablation_updates, print_fanout, print_fig5,
+    print_fig6, print_fig7, print_fig8, print_group_commit, print_replicas, report_to_json,
     rows_to_json,
 };

@@ -1,8 +1,7 @@
 //! Pretty-printers that lay the measured rows out like the paper's figures.
 
 use crate::experiments::{
-    AblationRow, ComparisonRow, DurabilityRow, FanoutRow, GroupCommitRow, MemoryAblationRow,
-    NetRow, ReplicaRow, ShardedThroughputRow, ThroughputRow, UpdateRow, WalRow,
+    AblationRow, ComparisonRow, FanoutRow, GroupCommitRow, MemoryAblationRow, ReplicaRow, UpdateRow,
 };
 use serde::Serialize;
 
@@ -156,84 +155,6 @@ pub fn print_ablation_memory(rows: &[MemoryAblationRow]) {
     }
 }
 
-/// Experiment E8: concurrent-engine throughput as serving threads grow.
-pub fn print_throughput(rows: &[ThroughputRow]) {
-    header("Experiment E8 — SAE engine throughput vs serving threads (fixed workload)");
-    println!(
-        "  {:>8} {:>9} {:>12} {:>10} {:>10} {:>9} {:>10} {:>9}",
-        "threads", "queries", "qps", "p50 [ms]", "p99 [ms]", "speedup", "SP hit %", "verified"
-    );
-    for r in rows {
-        println!(
-            "  {:>8} {:>9} {:>12.0} {:>10.2} {:>10.2} {:>8.2}x {:>10.1} {:>9}",
-            r.threads,
-            r.queries,
-            r.queries_per_sec,
-            r.p50_ms,
-            r.p99_ms,
-            r.speedup,
-            100.0 * r.sp_cache_hit_rate,
-            if r.all_verified { "all" } else { "NO" }
-        );
-    }
-}
-
-/// Experiment E9: sharded-engine throughput as the shard count grows, on
-/// read-heavy and write-heavy mixes of spanning queries and routed updates.
-pub fn print_sharded_throughput(rows: &[ShardedThroughputRow]) {
-    header("Experiment E9 — sharded SAE engine throughput vs shards (spanning read/write mixes)");
-    println!(
-        "  {:>12} {:>8} {:>7} {:>7} {:>12} {:>10} {:>10} {:>9} {:>9}",
-        "mix", "threads", "shards", "ops", "ops/s", "p50 [ms]", "p99 [ms]", "speedup", "verified"
-    );
-    for r in rows {
-        println!(
-            "  {:>12} {:>8} {:>7} {:>7} {:>12.0} {:>10.2} {:>10.2} {:>8.2}x {:>9}",
-            r.mix,
-            r.threads,
-            r.shards,
-            r.ops,
-            r.queries_per_sec,
-            r.p50_ms,
-            r.p99_ms,
-            r.speedup,
-            if r.all_verified { "all" } else { "NO" }
-        );
-    }
-}
-
-/// Experiment E10: durability cost — cold-start open time and post-reopen
-/// verified throughput of the file-backed sharded deployment.
-pub fn print_durability(rows: &[DurabilityRow]) {
-    header("Experiment E10 — durable deployment: cold-start open + post-reopen throughput");
-    println!(
-        "  {:>7} {:>11} {:>12} {:>10} {:>10} {:>12} {:>10} {:>10} {:>9}",
-        "shards",
-        "build [ms]",
-        "commit [ms]",
-        "close [ms]",
-        "open [ms]",
-        "reopen qps",
-        "p50 [ms]",
-        "disk [MiB]",
-        "verified"
-    );
-    for r in rows {
-        println!(
-            "  {:>7} {:>11.1} {:>12.2} {:>10.2} {:>10.2} {:>12.0} {:>10.2} {:>10.2} {:>9}",
-            r.shards,
-            r.build_ms,
-            r.update_commit_ms,
-            r.close_ms,
-            r.open_ms,
-            r.post_reopen_qps,
-            r.p50_ms,
-            r.disk_bytes as f64 / (1024.0 * 1024.0),
-            if r.all_verified { "all" } else { "NO" }
-        );
-    }
-}
-
 /// Experiment E11: durable write throughput and fsyncs-per-op under each
 /// durability policy, with the post-reopen crash-consistency verdict.
 pub fn print_group_commit(rows: &[GroupCommitRow]) {
@@ -266,79 +187,6 @@ pub fn print_group_commit(rows: &[GroupCommitRow]) {
             r.fsyncs_per_op,
             r.speedup_vs_immediate,
             if r.all_verified { "all" } else { "NO" }
-        );
-    }
-}
-
-/// Experiment E12: the write-ahead-log pipeline — one log fsync per
-/// acknowledged durable write, and kill-replay recovery with zero refusals.
-pub fn print_wal(rows: &[WalRow]) {
-    header("Experiment E12 — write-ahead log: fsyncs/ack'd write + kill-replay recovery");
-    println!(
-        "  {:>10} {:>6} {:>11} {:>8} {:>10} {:>9} {:>11} {:>9} {:>8} {:>9}",
-        "policy",
-        "ops",
-        "writes/s",
-        "fsyncs",
-        "fsyncs/op",
-        "appends",
-        "log bytes",
-        "log sync",
-        "replay",
-        "verified"
-    );
-    for r in rows {
-        println!(
-            "  {:>10} {:>6} {:>11.0} {:>8} {:>10.2} {:>9} {:>11} {:>9} {:>8} {:>9}",
-            r.policy,
-            r.ops,
-            r.writes_per_sec,
-            r.fsyncs,
-            r.fsyncs_per_op,
-            r.wal_appends,
-            r.wal_bytes,
-            r.wal_syncs,
-            if r.replay_recovered { "ok" } else { "LOST" },
-            if r.all_verified { "all" } else { "NO" }
-        );
-    }
-}
-
-/// Experiment E13: networked scatter-gather serving — verified qps and tail
-/// latency over loopback vs shard-server count, with byzantine and
-/// dropped-endpoint legs.
-pub fn print_net(rows: &[NetRow]) {
-    header("Experiment E13 — networked serving: verified qps + p95 vs shard servers");
-    println!(
-        "  {:>7} {:>8} {:>10} {:>9} {:>9} {:>11} {:>9} {:>9} {:>7} {:>5}",
-        "servers",
-        "queries",
-        "qps",
-        "p50 ms",
-        "p95 ms",
-        "bytes/query",
-        "records",
-        "verified",
-        "tamper",
-        "drop"
-    );
-    for r in rows {
-        println!(
-            "  {:>7} {:>8} {:>10.0} {:>9.3} {:>9.3} {:>11.0} {:>9} {:>9} {:>7} {:>5}",
-            r.shards,
-            r.queries,
-            r.qps,
-            r.p50_ms,
-            r.p95_ms,
-            r.bytes_per_query,
-            r.records_returned,
-            if r.all_verified { "all" } else { "NO" },
-            if r.tamper_detected {
-                "caught"
-            } else {
-                "MISSED"
-            },
-            if r.drop_detected { "caught" } else { "MISSED" }
         );
     }
 }

@@ -17,6 +17,11 @@ fn usage_errors_exit_two() {
         vec!["fig5", "--zipf"],
         vec!["fig5", "--json"],
         vec!["fig5", "--full-scale", "--smoke"],
+        vec!["throughput"],
+        vec!["sharded-throughput", "--smoke"],
+        vec!["durability", "--smoke"],
+        vec!["wal", "--smoke"],
+        vec!["net", "--smoke"],
     ] {
         let out = Command::new(bin).args(&args).output().expect("binary runs");
         assert_eq!(out.status.code(), Some(2), "args {args:?}: {out:?}");

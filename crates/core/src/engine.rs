@@ -7,13 +7,12 @@
 //! drives any [`QueryService`] from a pool of worker threads:
 //!
 //! * [`serve_batch`] fans a fixed workload out over N worker threads;
-//! * [`serve_mix`] runs a closed loop in which every worker plays one client
-//!   replaying its own deterministic [`QueryMix`] stream;
 //! * [`serve_ops`] mixes queries with data-owner writes against a
-//!   [`ShardedSaeEngine`].
+//!   [`ShardedSaeEngine`], every worker playing one client that replays its
+//!   own deterministic [`QueryMix`] stream.
 //!
-//! All three aggregate per-thread [`QueryMetrics`] and wall-clock latencies
-//! into a [`ThroughputReport`] (p50/p95/p99 latency, queries per second).
+//! Both aggregate per-thread [`QueryMetrics`] and wall-clock latencies into
+//! a [`ThroughputReport`] (p50/p95/p99 latency, queries per second).
 //!
 //! ## Cost accounting under concurrency
 //!
@@ -25,12 +24,6 @@
 //! totals in [`ThroughputReport::party_io`] exact. Per-query fields that are
 //! attributable to one thread (cardinality, verification outcome and time)
 //! are aggregated per worker as usual.
-//!
-//! Because the cost model *charges* rather than performs I/O, a batch served
-//! purely from memory would overlap nothing; [`ServeOptions::io_micros_per_query`]
-//! injects the charged latency as real sleep — outside every lock — so
-//! thread-scaling measurements reflect how the engine overlaps I/O stalls,
-//! exactly what the paper's 10 ms/node-access model simulates.
 
 use crate::metrics::{LatencySummary, QueryMetrics};
 use crate::sharded::ShardedSaeEngine;
@@ -39,7 +32,7 @@ use rand::{Rng, SeedableRng};
 use sae_storage::{CostModel, IoSnapshot, IoStats, StorageResult};
 use sae_workload::{QueryMix, RangeQuery, Record};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Anything that can execute one authenticated query end to end, safely from
 /// many threads at once.
@@ -61,29 +54,6 @@ pub trait QueryService: Send + Sync {
     }
 }
 
-/// Options for the concurrent drivers.
-#[derive(Clone, Copy, Debug)]
-pub struct ServeOptions {
-    /// Number of worker threads (clients served concurrently). Zero is
-    /// clamped to one.
-    pub threads: usize,
-    /// Simulated per-query I/O latency in microseconds, slept outside all
-    /// locks. The cost model only *charges* for node accesses; this turns the
-    /// charge into real, overlappable latency so closed-loop throughput
-    /// behaves like a deployment that actually waits for its disks and
-    /// network. Zero disables the sleep.
-    pub io_micros_per_query: u64,
-}
-
-impl Default for ServeOptions {
-    fn default() -> Self {
-        ServeOptions {
-            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            io_micros_per_query: 0,
-        }
-    }
-}
-
 /// Node accesses one party performed during a batch (exact: snapshotted at
 /// quiescent points only).
 #[derive(Clone, Copy, Debug)]
@@ -92,17 +62,6 @@ pub struct PartyIo {
     pub party: &'static str,
     /// Counter delta over the batch.
     pub delta: IoSnapshot,
-}
-
-/// Per-worker view of a batch.
-#[derive(Clone, Debug)]
-pub struct ThreadReport {
-    /// Worker index (0-based).
-    pub thread: usize,
-    /// Queries this worker served.
-    pub queries: u64,
-    /// Latency distribution of this worker's queries.
-    pub latency: LatencySummary,
 }
 
 /// What a concurrent batch run produced.
@@ -123,8 +82,6 @@ pub struct ThroughputReport {
     pub queries_per_sec: f64,
     /// Merged latency distribution over all workers.
     pub latency: LatencySummary,
-    /// Per-worker breakdowns.
-    pub per_thread: Vec<ThreadReport>,
     /// Summed per-query metrics; node-access and charged fields are filled
     /// from the exact batch deltas in [`ThroughputReport::party_io`].
     pub totals: QueryMetrics,
@@ -138,28 +95,26 @@ struct WorkerOutcome {
     failed: u64,
 }
 
-fn run_worker<S: QueryService + ?Sized>(
+/// Runs one worker's `ops` back to back through `op`, timing each one.
+fn run_worker<S: ?Sized, T>(
     service: &S,
-    queries: &[RangeQuery],
-    io_sleep: Duration,
+    ops: &[T],
+    op: impl Fn(&S, &T) -> StorageResult<QueryMetrics>,
 ) -> WorkerOutcome {
-    let mut latencies = Vec::with_capacity(queries.len());
+    let mut latencies = Vec::with_capacity(ops.len());
     let mut totals = QueryMetrics {
         verified: true,
         ..Default::default()
     };
     let mut failed = 0u64;
-    for q in queries {
+    for item in ops {
         let start = Instant::now();
-        match service.execute(q) {
+        match op(service, item) {
             Ok(metrics) => totals.accumulate(&metrics),
             Err(_) => {
                 failed += 1;
                 totals.verified = false;
             }
-        }
-        if !io_sleep.is_zero() {
-            std::thread::sleep(io_sleep);
         }
         latencies.push(start.elapsed().as_secs_f64() * 1000.0);
     }
@@ -210,57 +165,15 @@ pub fn client_ops(
         .collect()
 }
 
-fn run_ops_worker(service: &ShardedSaeEngine, ops: &[MixOp], io_sleep: Duration) -> WorkerOutcome {
-    let mut latencies = Vec::with_capacity(ops.len());
-    let mut totals = QueryMetrics {
-        verified: true,
-        ..Default::default()
-    };
-    let mut failed = 0u64;
-    for op in ops {
-        let start = Instant::now();
-        match op {
-            MixOp::Query(q) => {
-                match service.execute(q) {
-                    Ok(metrics) => totals.accumulate(&metrics),
-                    Err(_) => {
-                        failed += 1;
-                        totals.verified = false;
-                    }
-                }
-                // Queries pay no simulated latency here: the hot index pages
-                // are buffer-pooled, and read I/O overlaps freely anyway. The
-                // discriminating resource of a read/write mix is the write
-                // hold below.
-            }
-            MixOp::Update(record) => {
-                // Write I/O is *not* overlappable within a key range: the
-                // sleep happens inside the write critical section (see
-                // ShardedSaeEngine::apply_update), modelling the durable write
-                // a real deployment performs while the key range is locked.
-                if service.apply_update(record, io_sleep).is_err() {
-                    failed += 1;
-                    totals.verified = false;
-                }
-            }
-        }
-        latencies.push(start.elapsed().as_secs_f64() * 1000.0);
-    }
-    WorkerOutcome {
-        latencies,
-        totals,
-        failed,
-    }
-}
-
 /// The shared concurrent scaffold of every driver: snapshot the party
-/// counters at a quiescent point, fan `assignments` out over one scoped
-/// thread per entry, join, and aggregate into a [`ThroughputReport`].
-fn drive<S, T, F>(service: &S, assignments: Vec<Vec<T>>, worker: F) -> ThroughputReport
+/// counters at a quiescent point, run each entry of `assignments` through
+/// `op` on its own scoped thread, join, and aggregate into a
+/// [`ThroughputReport`].
+fn drive<S, T, F>(service: &S, assignments: Vec<Vec<T>>, op: F) -> ThroughputReport
 where
     S: QueryService + ?Sized,
     T: Send + Sync,
-    F: Fn(&S, &[T]) -> WorkerOutcome + Send + Sync,
+    F: Fn(&S, &T) -> StorageResult<QueryMetrics> + Sync,
 {
     let threads = assignments.len();
     let before: Vec<(&'static str, IoSnapshot)> = service
@@ -270,11 +183,11 @@ where
         .collect();
 
     let start = Instant::now();
-    let worker = &worker;
+    let op = &op;
     let outcomes: Vec<WorkerOutcome> = std::thread::scope(|scope| {
         let handles: Vec<_> = assignments
             .iter()
-            .map(|chunk| scope.spawn(move || worker(service, chunk)))
+            .map(|chunk| scope.spawn(move || run_worker(service, chunk, op)))
             .collect();
         handles
             .into_iter()
@@ -290,15 +203,9 @@ where
     };
     let mut failed = 0u64;
     let mut all_latencies = Vec::new();
-    let mut per_thread = Vec::with_capacity(outcomes.len());
-    for (idx, mut outcome) in outcomes.into_iter().enumerate() {
+    for outcome in outcomes {
         totals.accumulate(&outcome.totals);
         failed += outcome.failed;
-        per_thread.push(ThreadReport {
-            thread: idx,
-            queries: outcome.latencies.len() as u64,
-            latency: LatencySummary::from_samples(&mut outcome.latencies),
-        });
         all_latencies.extend(outcome.latencies);
     }
 
@@ -335,57 +242,30 @@ where
             0.0
         },
         latency: LatencySummary::from_samples(&mut all_latencies),
-        per_thread,
         totals,
         party_io,
     }
 }
 
-/// Serves a fixed batch of queries over `opts.threads` workers (queries are
-/// dealt round-robin) and aggregates the outcome.
+/// Serves a fixed batch of queries over `threads` workers (queries are
+/// dealt round-robin; zero is clamped to one) and aggregates the outcome.
 pub fn serve_batch<S: QueryService + ?Sized>(
     service: &S,
     queries: &[RangeQuery],
-    opts: &ServeOptions,
+    threads: usize,
 ) -> ThroughputReport {
-    let threads = opts.threads.max(1);
-    let io_sleep = Duration::from_micros(opts.io_micros_per_query);
+    let threads = threads.max(1);
     let assignments: Vec<Vec<RangeQuery>> = (0..threads)
         .map(|t| queries.iter().skip(t).step_by(threads).copied().collect())
         .collect();
-    drive(service, assignments, |service, chunk| {
-        run_worker(service, chunk, io_sleep)
-    })
+    drive(service, assignments, |service, q| service.execute(q))
 }
 
-/// Closed-loop driver: every worker plays one client that draws
-/// `queries_per_client` queries from its own deterministic [`QueryMix`]
-/// stream (see [`QueryMix::client_seed`]) and issues them back to back.
-pub fn serve_mix<S: QueryService + ?Sized>(
-    service: &S,
-    mix: &QueryMix,
-    queries_per_client: usize,
-    seed: u64,
-    opts: &ServeOptions,
-) -> ThroughputReport {
-    let threads = opts.threads.max(1);
-    let io_sleep = Duration::from_micros(opts.io_micros_per_query);
-    let assignments: Vec<Vec<RangeQuery>> = (0..threads as u64)
-        .map(|client| mix.client_queries(seed, client, queries_per_client))
-        .collect();
-    drive(service, assignments, |service, chunk| {
-        run_worker(service, chunk, io_sleep)
-    })
-}
-
-/// Closed-loop mixed read/write driver: every worker plays one client
-/// replaying its own deterministic [`client_ops`] stream — queries through
-/// [`QueryService::execute`], writes through
-/// [`ShardedSaeEngine::apply_update`]. `ThroughputReport::queries` counts
-/// *operations* here, and `opts.io_micros_per_query` is the per-*write* I/O
-/// hold, slept inside the write critical section; queries run at memory
-/// speed (their I/O is buffer-pooled and overlappable, so it is not what a
-/// read/write mix contends on).
+/// Closed-loop mixed read/write driver: each of `threads` workers (zero is
+/// clamped to one) plays one client replaying its own deterministic
+/// [`client_ops`] stream — queries through [`QueryService::execute`], writes
+/// through [`ShardedSaeEngine::apply_update`]. `ThroughputReport::queries`
+/// counts *operations* here.
 pub fn serve_ops(
     service: &ShardedSaeEngine,
     mix: &QueryMix,
@@ -393,11 +273,9 @@ pub fn serve_ops(
     record_size: usize,
     ops_per_client: usize,
     seed: u64,
-    opts: &ServeOptions,
+    threads: usize,
 ) -> ThroughputReport {
-    let threads = opts.threads.max(1);
-    let io_sleep = Duration::from_micros(opts.io_micros_per_query);
-    let assignments: Vec<Vec<MixOp>> = (0..threads as u64)
+    let assignments: Vec<Vec<MixOp>> = (0..threads.max(1) as u64)
         .map(|client| {
             client_ops(
                 mix,
@@ -409,8 +287,12 @@ pub fn serve_ops(
             )
         })
         .collect();
-    drive(service, assignments, |service, chunk| {
-        run_ops_worker(service, chunk, io_sleep)
+    drive(service, assignments, |service, op| match op {
+        MixOp::Query(q) => service.execute(q),
+        MixOp::Update(record) => service.apply_update(record).map(|()| QueryMetrics {
+            verified: true,
+            ..Default::default()
+        }),
     })
 }
 
@@ -436,13 +318,6 @@ mod tests {
         ShardedSaeEngine::build_in_memory(ds, HashAlgorithm::Sha1, 1).unwrap()
     }
 
-    fn opts(threads: usize) -> ServeOptions {
-        ServeOptions {
-            threads,
-            io_micros_per_query: 0,
-        }
-    }
-
     #[test]
     fn engines_are_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
@@ -454,13 +329,11 @@ mod tests {
         let ds = dataset(4_000);
         let engine = single_pair(&ds);
         let queries = QueryMix::uniform(100_000, 0.01).workload(64, 3).queries;
-        let report = engine.serve_batch(&queries, &opts(4));
+        let report = engine.serve_batch(&queries, 4);
         assert_eq!(report.queries, 64);
         assert_eq!(report.failed, 0);
         assert!(report.all_verified);
         assert_eq!(report.threads, 4);
-        assert_eq!(report.per_thread.len(), 4);
-        assert_eq!(report.per_thread.iter().map(|t| t.queries).sum::<u64>(), 64);
         assert!(report.queries_per_sec > 0.0);
         assert!(report.latency.p50_ms <= report.latency.p99_ms);
         // Batch-level accounting is exact and non-trivial.
@@ -496,8 +369,8 @@ mod tests {
         let cached = ShardedSaeEngine::build_cached(&ds, HashAlgorithm::Sha1, 1, 256).unwrap();
         let queries = QueryMix::zipf(100_000, 0.01, 0.8).workload(40, 17).queries;
 
-        let a = plain.serve_batch(&queries, &opts(2));
-        let b = cached.serve_batch(&queries, &opts(2));
+        let a = plain.serve_batch(&queries, 2);
+        let b = cached.serve_batch(&queries, 2);
         assert!(a.all_verified && b.all_verified);
         assert_eq!(a.totals.result_cardinality, b.totals.result_cardinality);
         // Logical accounting is preserved by the cache...
@@ -516,15 +389,19 @@ mod tests {
         let ds = dataset(2_000);
         let engine = ShardedSaeEngine::build_cached(&ds, HashAlgorithm::Sha1, 1, 128).unwrap();
         let mix = QueryMix::uniform(100_000, 0.005);
-        let report = engine.serve_mix(&mix, 12, 77, &opts(3));
+        let report = engine.serve_ops(&mix, 0.0, 120, 12, 77, 3);
         assert_eq!(report.queries, 36);
         assert!(report.all_verified);
         // Each client replayed its own stream deterministically.
-        let again = engine.serve_mix(&mix, 12, 77, &opts(3));
+        let again = engine.serve_ops(&mix, 0.0, 120, 12, 77, 3);
         assert_eq!(
             report.totals.result_cardinality,
             again.totals.result_cardinality
         );
+        let streams: Vec<_> = (0..3)
+            .map(|client| format!("{:?}", client_ops(&mix, 0.0, 120, 77, client, 12)))
+            .collect();
+        assert!(streams[0] != streams[1] && streams[1] != streams[2]);
     }
 
     #[test]
@@ -547,7 +424,7 @@ mod tests {
             // Readers must see every query verify: a torn update (SP ahead of
             // TE or vice versa) would surface as a verification failure.
             let queries = QueryMix::uniform(100_000, 0.01).workload(120, 41).queries;
-            let report = engine.serve_batch(&queries, &opts(3));
+            let report = engine.serve_batch(&queries, 3);
             stop.store(true, std::sync::atomic::Ordering::Relaxed);
             assert_eq!(report.failed, 0);
             assert!(
@@ -555,29 +432,5 @@ mod tests {
                 "a concurrent update tore a query's view"
             );
         });
-    }
-
-    #[test]
-    fn simulated_io_latency_is_overlapped_by_threads() {
-        let ds = dataset(800);
-        let engine = single_pair(&ds);
-        let queries = QueryMix::uniform(100_000, 0.002).workload(48, 23).queries;
-        let serve = |threads: usize| {
-            engine
-                .serve_batch(
-                    &queries,
-                    &ServeOptions {
-                        threads,
-                        io_micros_per_query: 1_000,
-                    },
-                )
-                .queries_per_sec
-        };
-        let one = serve(1);
-        let four = serve(4);
-        assert!(
-            four > 1.5 * one,
-            "4-thread qps {four:.0} did not scale over 1-thread qps {one:.0}"
-        );
     }
 }

@@ -690,24 +690,6 @@ pub(crate) fn insert_into_parties(
     Ok(())
 }
 
-/// One full write round trip against a locked SP/TE pair: insert `record`,
-/// sleep `hold` (the simulated write I/O, paid while the key range is
-/// locked), then delete the record again. The write op of
-/// [`crate::sharded::ShardedSaeEngine::apply_update`].
-pub(crate) fn update_parties(
-    sp: &mut SaeServiceProvider,
-    te: &mut TrustedEntity,
-    record: &Record,
-    hold: std::time::Duration,
-) -> StorageResult<()> {
-    insert_into_parties(sp, te, record)?;
-    if !hold.is_zero() {
-        std::thread::sleep(hold);
-    }
-    delete_from_parties(sp, te, record.id, record.key)?;
-    Ok(())
-}
-
 /// Deletes `(id, key)` from both parties with rollback on disagreement.
 /// Shared between [`SaeSystem::delete_record`] and the concurrent engine,
 /// which holds the parties behind independent locks. Returns whether the

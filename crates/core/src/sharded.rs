@@ -44,13 +44,11 @@
 //! deployment provides.
 
 use crate::durable::{CommitCrashPoint, Durability, DurabilityPolicy, ShardStores};
-use crate::engine::{
-    serve_batch, serve_mix, serve_ops, QueryService, ServeOptions, ThroughputReport,
-};
+use crate::engine::{serve_batch, serve_ops, QueryService, ThroughputReport};
 use crate::metrics::QueryMetrics;
 use crate::sae::{
-    delete_from_parties, insert_into_parties, update_parties, SaeClient, SaeServiceProvider,
-    SaeVerifyError, TeMode, TrustedEntity,
+    delete_from_parties, insert_into_parties, SaeClient, SaeServiceProvider, SaeVerifyError,
+    TeMode, TrustedEntity,
 };
 use crate::tamper::TamperStrategy;
 use parking_lot::{RwLock, RwLockWriteGuard};
@@ -63,7 +61,7 @@ use sae_workload::{Dataset, DatasetSpec, QueryMix, RangeQuery, Record, RecordKey
 use std::collections::HashSet;
 use std::path::Path;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// An equal-width partition of the key domain `[0, domain]` into contiguous,
 /// disjoint shard ranges. Published by the data owner alongside the schema,
@@ -194,6 +192,15 @@ pub enum ShardedVerifyError {
         /// The per-slice verification error.
         error: SaeVerifyError,
     },
+    /// A networked shard honestly refused its slice as larger than one
+    /// response frame may carry. The refusal is deterministic — every
+    /// replica of the shard would repeat it — so the client neither fails
+    /// over nor demotes; the range must be narrowed. Never produced by
+    /// [`verify_slices`] itself.
+    ResponseTooLarge {
+        /// The shard whose slice was refused.
+        shard: usize,
+    },
 }
 
 impl std::fmt::Display for ShardedVerifyError {
@@ -213,6 +220,12 @@ impl std::fmt::Display for ShardedVerifyError {
             }
             ShardedVerifyError::Slice { shard, error } => {
                 write!(f, "slice of shard {shard} failed verification: {error}")
+            }
+            ShardedVerifyError::ResponseTooLarge { shard } => {
+                write!(
+                    f,
+                    "shard {shard} refused its slice as too large for one frame"
+                )
             }
         }
     }
@@ -739,10 +752,8 @@ impl ShardedSaeEngine {
 
     /// Applies one insert-then-delete round trip of `record` to the shard
     /// owning its key, atomically with respect to concurrent queries — the
-    /// write op of [`serve_ops`]. `hold` is slept *inside* the shard's write
-    /// critical section, simulating the I/O a real write performs while the
-    /// key range is locked; this is the serialization sharding breaks up.
-    pub fn apply_update(&self, record: &Record, hold: Duration) -> StorageResult<()> {
+    /// write op of [`serve_ops`].
+    pub fn apply_update(&self, record: &Record) -> StorageResult<()> {
         self.claim(record)?;
         let shard_idx = self.layout.shard_of(record.key);
         let shard = &self.shards[shard_idx];
@@ -751,8 +762,10 @@ impl ShardedSaeEngine {
         // The round trip is committed once, after its trailing delete: the
         // committed states bracket the whole round trip, which is exactly
         // the atomicity the update protocol promises.
-        match update_parties(&mut sp, &mut te, record, hold) {
-            Ok(()) => {
+        let round_trip = insert_into_parties(&mut sp, &mut te, record)
+            .and_then(|()| delete_from_parties(&mut sp, &mut te, record.id, record.key));
+        match round_trip {
+            Ok(_) => {
                 // The round trip deleted the record again, so its id can be
                 // released whether or not the commit below succeeds — the
                 // record exists in neither memory nor the committed state.
@@ -987,23 +1000,13 @@ impl ShardedSaeEngine {
         f(&mut self.shards[shard].te.write())
     }
 
-    /// Serves a fixed batch (see [`serve_batch`]).
-    pub fn serve_batch(&self, queries: &[RangeQuery], opts: &ServeOptions) -> ThroughputReport {
-        serve_batch(self, queries, opts)
+    /// Serves a fixed batch over `threads` workers (see [`serve_batch`]).
+    pub fn serve_batch(&self, queries: &[RangeQuery], threads: usize) -> ThroughputReport {
+        serve_batch(self, queries, threads)
     }
 
-    /// Runs the closed-loop per-client driver (see [`serve_mix`]).
-    pub fn serve_mix(
-        &self,
-        mix: &QueryMix,
-        queries_per_client: usize,
-        seed: u64,
-        opts: &ServeOptions,
-    ) -> ThroughputReport {
-        serve_mix(self, mix, queries_per_client, seed, opts)
-    }
-
-    /// Runs the closed-loop mixed read/write driver (see [`serve_ops`]).
+    /// Runs the closed-loop mixed read/write driver over `threads` clients
+    /// (see [`serve_ops`]).
     pub fn serve_ops(
         &self,
         mix: &QueryMix,
@@ -1011,7 +1014,7 @@ impl ShardedSaeEngine {
         record_size: usize,
         ops_per_client: usize,
         seed: u64,
-        opts: &ServeOptions,
+        threads: usize,
     ) -> ThroughputReport {
         serve_ops(
             self,
@@ -1020,7 +1023,7 @@ impl ShardedSaeEngine {
             record_size,
             ops_per_client,
             seed,
-            opts,
+            threads,
         )
     }
 }
@@ -1063,6 +1066,7 @@ mod tests {
     use crate::sae::SaeSystem;
     use sae_storage::StorageError;
     use sae_workload::KeyDistribution;
+    use std::time::Duration;
 
     const DOMAIN: RecordKey = 100_000;
 
@@ -1373,13 +1377,7 @@ mod tests {
                 }
             });
             let queries = QueryMix::spanning(DOMAIN, 0.02, 4).workload(80, 9).queries;
-            let report = engine.serve_batch(
-                &queries,
-                &ServeOptions {
-                    threads: 3,
-                    io_micros_per_query: 0,
-                },
-            );
+            let report = engine.serve_batch(&queries, 3);
             stop.store(true, std::sync::atomic::Ordering::Relaxed);
             assert_eq!(report.failed, 0);
             assert!(report.all_verified, "a sharded update tore a query's view");
@@ -1459,6 +1457,19 @@ mod tests {
 
         // Deletion survived; the tombstoned heap slot is not resurrected.
         let reopened = ShardedSaeEngine::open_dir(dir.path(), HashAlgorithm::Sha1, None).unwrap();
+        // Recovering a cleanly closed directory only reads: nothing is
+        // rebuilt, rewritten, synced or logged.
+        let recovery =
+            reopened
+                .party_stats()
+                .iter()
+                .fold(IoSnapshot::default(), |mut sum, (_, stats)| {
+                    sum.accumulate(&stats.snapshot());
+                    sum
+                });
+        assert_eq!(recovery.physical_writes, 0, "{recovery:?}");
+        assert_eq!(recovery.syncs, 0, "{recovery:?}");
+        assert_eq!(recovery.wal_appends, 0, "{recovery:?}");
         let outcome = reopened
             .query(&RangeQuery::new(victim.key, victim.key))
             .unwrap();
@@ -1673,25 +1684,35 @@ mod tests {
     }
 
     #[test]
-    fn write_heavy_ops_scale_with_shards() {
-        let ds = dataset(2_000);
-        let mix = QueryMix::spanning(DOMAIN, 0.005, 4);
-        let opts = ServeOptions {
-            threads: 4,
-            io_micros_per_query: 400,
-        };
-        let ops_per_client = 24;
-        let one = ShardedSaeEngine::build_in_memory(&ds, HashAlgorithm::Sha1, 1).unwrap();
-        let four = ShardedSaeEngine::build_in_memory(&ds, HashAlgorithm::Sha1, 4).unwrap();
-        let a = one.serve_ops(&mix, 0.8, 120, ops_per_client, 3, &opts);
-        let b = four.serve_ops(&mix, 0.8, 120, ops_per_client, 3, &opts);
-        assert!(a.all_verified && b.all_verified);
-        assert_eq!(a.queries, b.queries);
-        assert!(
-            b.queries_per_sec > 1.5 * a.queries_per_sec,
-            "4-shard write-heavy qps {:.0} did not scale over 1-shard {:.0}",
-            b.queries_per_sec,
-            a.queries_per_sec
-        );
+    fn a_held_shard_write_lock_blocks_only_its_own_shard() {
+        let ds = dataset(400);
+        let engine = ShardedSaeEngine::build_in_memory(&ds, HashAlgorithm::Sha1, 2).unwrap();
+        let (own, other) = (10_000, 90_000);
+        assert_eq!(engine.layout().shard_of(own), 0);
+        assert_eq!(engine.layout().shard_of(other), 1);
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let guard = engine.shards[0].sp.write();
+            let insert = |id: u64, key: RecordKey| {
+                let (engine, tx) = (&engine, tx.clone());
+                scope.spawn(move || {
+                    engine.insert(&Record::with_size(id, key, 120)).unwrap();
+                    tx.send(key).unwrap();
+                });
+            };
+            let wait = Duration::from_secs(10);
+            // The shard-0 writer goes first and parks on the held lock, so
+            // an engine-wide writer lock would also stall the shard-1 one.
+            insert(9_800_000, own);
+            assert!(rx.recv_timeout(Duration::from_millis(200)).is_err());
+            insert(9_800_001, other);
+            assert_eq!(
+                rx.recv_timeout(wait),
+                Ok(other),
+                "shard 1 waited on shard 0"
+            );
+            drop(guard);
+            assert_eq!(rx.recv_timeout(wait), Ok(own));
+        });
     }
 }

@@ -5,12 +5,17 @@
 //! (attacking completeness) and/or inject a set `IS` of fabricated records
 //! (attacking soundness); modifying a record is the combination of both.
 //! [`TamperStrategy`] reproduces those behaviours so integration tests and the
-//! examples can demonstrate that both SAE and TOM clients reject every
-//! non-trivial tampering.
+//! examples can demonstrate that both SAE and TOM clients reject them — all
+//! but [`TamperStrategy::LinearForgery`], which the XOR fold accepts.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use sae_crypto::{Digest, HashAlgorithm, DIGEST_LEN};
 use sae_workload::{RangeQuery, Record, RECORD_HEADER_LEN};
+
+/// How many records [`TamperStrategy::LinearForgery`] fabricates: enough that
+/// their digests span GF(2)¹⁶⁰ except with probability ≈ 2⁻⁴⁰.
+const FORGERY_CANDIDATES: usize = 200;
 
 /// How a malicious SP corrupts the result set before returning it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -69,6 +74,17 @@ pub enum TamperStrategy {
     /// token). On a flat result there is no boundary; the first and last
     /// records are swapped instead, which breaks the key ordering.
     ShardBoundarySwap,
+    /// Replace the whole result by fabricated records whose digests XOR to
+    /// the honest token (Bellare–Micciancio's attack on XOR hashing). The SP
+    /// folds the token itself from the honest records' public digests, draws
+    /// well-formed candidates with in-range keys and fresh ids, and picks the
+    /// subset that folds to it by Gaussian elimination over GF(2)¹⁶⁰. The
+    /// result passes every structural check and the XOR fold: a known hole
+    /// of SAE's combiner.
+    LinearForgery {
+        /// The digest the deployment folds (public, like the schema).
+        alg: HashAlgorithm,
+    },
 }
 
 impl TamperStrategy {
@@ -164,6 +180,33 @@ impl TamperStrategy {
                 }
                 out
             }
+            TamperStrategy::LinearForgery { alg } => {
+                let token = out
+                    .iter()
+                    .fold(Digest::ZERO, |acc, record| acc ^ alg.hash(record));
+                let mut keys: Vec<u32> = (0..FORGERY_CANDIDATES)
+                    .map(|_| rng.gen_range(query.lower..=query.upper))
+                    .collect();
+                keys.sort_unstable();
+                let candidates: Vec<Vec<u8>> = keys
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, key)| {
+                        Record::with_size(u64::MAX / 4 + i as u64, key, record_size).encode()
+                    })
+                    .collect();
+                let digests: Vec<Digest> = candidates.iter().map(|c| alg.hash(c)).collect();
+                match xor_subset(&digests, &token) {
+                    Some(pick) => candidates
+                        .into_iter()
+                        .zip(pick)
+                        .filter_map(|(c, take)| take.then_some(c))
+                        .collect(),
+                    // The candidates did not span the target (≈ 2⁻⁴⁰): return
+                    // them all, which the fold rejects.
+                    None => candidates,
+                }
+            }
             TamperStrategy::DropShardSlice { .. } => Vec::new(),
             TamperStrategy::ShardBoundarySwap => {
                 if out.len() >= 2 {
@@ -174,6 +217,38 @@ impl TamperStrategy {
             }
         }
     }
+}
+
+/// A subset of `digests` whose XOR is `target`, as one flag per digest, or
+/// `None` if `target` is outside their span. Gaussian elimination over
+/// GF(2)¹⁶⁰: every basis vector carries the set of inputs it is the XOR of.
+fn xor_subset(digests: &[Digest], target: &Digest) -> Option<Vec<bool>> {
+    let bit = |d: &Digest, i: usize| d.as_bytes()[i / 8] >> (i % 8) & 1 == 1;
+    let xor_into = |into: &mut [bool], from: &[bool]| {
+        into.iter_mut().zip(from).for_each(|(a, b)| *a ^= b);
+    };
+    // Each basis vector is reduced by its predecessors, so it is zero at
+    // every earlier pivot and one pass in insertion order reduces anything.
+    let mut basis: Vec<(usize, Digest, Vec<bool>)> = Vec::new();
+    let reduce = |v: &mut Digest, parts: &mut [bool], basis: &[(usize, Digest, Vec<bool>)]| {
+        for (pivot, b, b_parts) in basis {
+            if bit(v, *pivot) {
+                *v ^= *b;
+                xor_into(parts, b_parts);
+            }
+        }
+    };
+    for (i, d) in digests.iter().enumerate() {
+        let (mut v, mut parts) = (*d, vec![false; digests.len()]);
+        parts[i] = true;
+        reduce(&mut v, &mut parts, &basis);
+        if let Some(pivot) = (0..DIGEST_LEN * 8).find(|&p| bit(&v, p)) {
+            basis.push((pivot, v, parts));
+        }
+    }
+    let (mut rest, mut parts) = (*target, vec![false; digests.len()]);
+    reduce(&mut rest, &mut parts, &basis);
+    rest.is_zero().then_some(parts)
 }
 
 /// Inserts an encoded record so the result stays sorted by key (the attack
@@ -339,6 +414,28 @@ mod tests {
         assert_eq!(swapped[rs.len() - 1], rs[0]);
         assert!(TamperStrategy::DropShardSlice { shard: 0 }.is_attack());
         assert!(TamperStrategy::ShardBoundarySwap.is_attack());
+    }
+
+    #[test]
+    fn linear_forgery_folds_to_the_honest_token_with_no_genuine_record() {
+        let alg = HashAlgorithm::Sha1;
+        let rs = honest(30);
+        let q = RangeQuery::new(100, 129);
+        let out = TamperStrategy::LinearForgery { alg }.apply(&rs, &q, 5);
+        let fold = |records: &[Vec<u8>]| {
+            records
+                .iter()
+                .fold(Digest::ZERO, |acc, r| acc ^ alg.hash(r))
+        };
+        assert_eq!(fold(&out), fold(&rs));
+        assert!(!out.is_empty() && out.iter().all(|r| !rs.contains(r)));
+        let decoded: Vec<Record> = out.iter().map(|r| Record::decode(r).unwrap()).collect();
+        assert!(decoded
+            .iter()
+            .all(|r| q.contains(r.key) && r.encode().len() == 100));
+        assert!(decoded
+            .windows(2)
+            .all(|w| w[0].key <= w[1].key && w[0].id != w[1].id));
     }
 
     #[test]

@@ -27,11 +27,13 @@
 //! returns an error, advertises an epoch below the client's verified
 //! high-water mark, or doctors its slice is **demoted** and the sub-query
 //! re-issued to a sibling, whose slice faces the exact same token
-//! verification. An honest refusal is not a fault: a `RESPONSE_TOO_LARGE`
-//! answer (the slice exceeds the frame cap, which every replica would
-//! refuse alike) or a `NOT_SYNCED` one (a replica still installing its
-//! snapshot) is recorded as an endpoint error and a sibling is asked, but
-//! nobody is demoted. A merely *slow* replica is hedged, not demoted: with
+//! verification. An honest refusal is not a fault, and demotes nobody. A
+//! `NOT_SYNCED` answer (a replica still installing its snapshot) is
+//! recorded as an endpoint error and a sibling is asked. A
+//! `RESPONSE_TOO_LARGE` answer (the slice exceeds the frame cap) is
+//! deterministic — every replica would refuse alike — so no sibling is
+//! asked: the shard ends with [`ShardedVerifyError::ResponseTooLarge`].
+//! A merely *slow* replica is hedged, not demoted: with
 //! [`NetClientConfig::hedge_timeout`] set, a sibling is raced after the
 //! window expires and the first valid slice wins, while the loser drains in
 //! the background and returns its connection to the pool. Demoted endpoints
@@ -231,7 +233,7 @@ pub struct NetQueryOutcome {
     pub verdict: Result<(), ShardedVerifyError>,
     /// Transport- or protocol-level failures, one per affected attempt.
     /// A shard with no surviving slice also surfaces in [`verdict`] as a
-    /// missing slice.
+    /// missing slice, or as a too-large refusal.
     ///
     /// [`verdict`]: NetQueryOutcome::verdict
     pub endpoint_errors: Vec<(usize, NetError)>,
@@ -576,6 +578,19 @@ impl NetClient {
                 break verdict;
             }
         };
+        // A shard left unanswered because it refused as too large gets that
+        // typed verdict, not a generic missing slice.
+        let verdict = match verdict {
+            Err(ShardedVerifyError::MissingShardSlice { shard })
+                if counters
+                    .errors
+                    .iter()
+                    .any(|(s, e)| *s == shard && refused_too_large(e)) =>
+            {
+                Err(ShardedVerifyError::ResponseTooLarge { shard })
+            }
+            other => other,
+        };
         // Only *verified* slices raise the freshness floor.
         if verdict.is_ok() {
             for &fi in &origin {
@@ -788,9 +803,10 @@ impl<'a> FetchPass<'a> {
 
 /// One failover pass for a shard: try up to `attempts` untried replicas
 /// (preferring non-demoted ones, round-robin within the group) until one
-/// returns a slice. The first attempt is hedged when configured and a
-/// sibling exists to hedge *to*; erroring endpoints are demoted by the leg
-/// that observed the error.
+/// returns a slice or refuses it as too large (every sibling would too).
+/// The first attempt is hedged when configured and a sibling exists to
+/// hedge *to*; erroring endpoints are demoted by the leg that observed the
+/// error.
 fn fetch_once(
     mut pass: FetchPass<'_>,
     tried: &mut HashSet<String>,
@@ -799,6 +815,7 @@ fn fetch_once(
 ) -> Option<(ShardSlice, String, u64)> {
     let group = pass.shared.topology.replicas(pass.shard).len();
     for attempt in 0..attempts.max(1) {
+        let errors_before = counters.errors.len();
         let won = match pass.sent.take() {
             Some((endpoint, pending)) => plain_fetch(&pass, endpoint, pending, counters),
             None => {
@@ -814,7 +831,11 @@ fn fetch_once(
                 }
             }
         };
-        if won.is_some() {
+        if won.is_some()
+            || counters.errors[errors_before..]
+                .iter()
+                .any(|(_, e)| refused_too_large(e))
+        {
             return won;
         }
         // The endpoint (and any hedge sibling) answered badly: the legs
@@ -930,9 +951,9 @@ fn spawn_leg(
 /// what [`send`] made of the request: read and classify the reply and — on
 /// any bad answer — demote the endpoint *here, in the leg*, so an abandoned
 /// hedge loser still routes itself out of future preference. Honest
-/// refusals are the exception: `RESPONSE_TOO_LARGE` (deterministic, every
-/// sibling would repeat it) and `NOT_SYNCED` (the replica is still
-/// installing) are reported and fail over, but demote nobody.
+/// refusals are the exception and demote nobody: `RESPONSE_TOO_LARGE`
+/// (deterministic, so [`fetch_once`] asks no sibling) and `NOT_SYNCED` (the
+/// replica is still installing; a sibling is asked).
 fn request_leg(
     shared: &ClientShared,
     endpoint: String,
@@ -1003,6 +1024,11 @@ fn request_leg(
         bytes_sent: sent,
         bytes_received: received,
     }
+}
+
+/// Whether `e` is a server's honest refusal of a slice over the frame cap.
+fn refused_too_large(e: &NetError) -> bool {
+    matches!(e, NetError::Remote { code: refused, .. } if *refused == code::RESPONSE_TOO_LARGE)
 }
 
 /// `Ping`s one endpoint by name, pooling the connection on success.

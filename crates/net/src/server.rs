@@ -52,8 +52,9 @@ pub struct ShardServerConfig {
     pub write_timeout: Duration,
     /// Artificial per-query service time, applied under a server-wide gate
     /// so concurrent queries serialize behind it — models a single-endpoint
-    /// saturation point for the E14 replica-scaling bench. Zero (the
-    /// default) disables both the delay and the gate.
+    /// saturation point for the E14 replica-scaling and E16 fan-out
+    /// experiments and for `crates/net/tests/fanout.rs`. Zero (the default)
+    /// disables both the delay and the gate.
     pub service_delay: Duration,
 }
 
@@ -68,7 +69,7 @@ impl Default for ShardServerConfig {
 }
 
 /// Byzantine behaviours a server can be armed with, for tests and the
-/// E13/E14 tamper legs. Each doctors the response *after* the source
+/// E14 tamper legs. Each doctors the response *after* the source
 /// produced it — exactly what a malicious service provider controlling the
 /// wire could do — and each is caught client-side: the first three by token
 /// verification, the last by the client's epoch high-water mark.
@@ -246,7 +247,7 @@ impl ShardServer {
     }
 
     /// Arms (or clears) a byzantine behaviour on every subsequent slice —
-    /// the E13/E14 tamper legs and the loopback tests use this to prove
+    /// the E14 tamper legs and the loopback tests use this to prove
     /// doctored slices are *detected* by client verification (or, for
     /// [`ServerTamper::StaleEpoch`], routed around by the freshness check),
     /// not trusted.

@@ -95,51 +95,63 @@ fn layouts_one_through_four_verify_and_match_in_process_results() {
 
 #[test]
 fn every_tamper_mode_is_caught_and_recovery_is_clean() {
-    let (_engine, servers, mut client) = deploy(3);
-    let full = RangeQuery::new(0, DOMAIN);
-    for tamper in [
-        ServerTamper::FlipRecordByte,
-        ServerTamper::DropFirstRecord,
-        ServerTamper::FlipTokenBit,
-    ] {
-        servers[0].set_tamper(Some(tamper));
-        let outcome = client.query(&full);
-        assert!(
-            matches!(
-                outcome.verdict,
-                Err(ShardedVerifyError::Slice { shard: 0, .. })
-            ),
-            "{tamper:?} escaped detection: {:?}",
-            outcome.verdict
-        );
-        servers[0].set_tamper(None);
-    }
-    // Once the server behaves again the same client verifies cleanly.
-    assert!(client.query(&full).verdict.is_ok());
-    for server in servers {
-        server.shutdown();
+    for shards in 1..=4 {
+        let (_engine, servers, mut client) = deploy(shards);
+        let full = RangeQuery::new(0, DOMAIN);
+        for tamper in [
+            ServerTamper::FlipRecordByte,
+            ServerTamper::DropFirstRecord,
+            ServerTamper::FlipTokenBit,
+        ] {
+            servers[0].set_tamper(Some(tamper));
+            let outcome = client.query(&full);
+            assert!(
+                matches!(
+                    outcome.verdict,
+                    Err(ShardedVerifyError::Slice { shard: 0, .. })
+                ),
+                "{shards} shards: {tamper:?} escaped detection: {:?}",
+                outcome.verdict
+            );
+            servers[0].set_tamper(None);
+        }
+        // Once the server behaves again the same client verifies cleanly.
+        assert!(client.query(&full).verdict.is_ok(), "{shards} shards");
+        for server in servers {
+            server.shutdown();
+        }
     }
 }
 
 #[test]
 fn a_dropped_endpoint_is_a_typed_missing_slice_not_a_partial_answer() {
-    let (_engine, mut servers, mut client) = deploy(3);
-    let full = RangeQuery::new(0, DOMAIN);
-    assert!(client.query(&full).verdict.is_ok());
+    for shards in 1..=4 {
+        let (_engine, mut servers, mut client) = deploy(shards);
+        let full = RangeQuery::new(0, DOMAIN);
+        assert!(client.query(&full).verdict.is_ok());
 
-    // Kill shard 1's endpoint. The other two shards still answer — and the
-    // verdict must refuse the partial result with the exact typed error the
-    // in-process engine would produce for a withheld slice.
-    servers.remove(1).shutdown();
-    let outcome = client.query(&full);
-    assert!(matches!(
-        outcome.verdict,
-        Err(ShardedVerifyError::MissingShardSlice { shard: 1 })
-    ));
-    assert_eq!(outcome.slices.len(), 2);
-    assert!(outcome.endpoint_errors.iter().any(|(shard, _)| *shard == 1));
-    for server in servers {
-        server.shutdown();
+        // Kill one shard's endpoint. The other shards still answer — and the
+        // verdict must refuse the partial result with the exact typed error
+        // the in-process engine would produce for a withheld slice.
+        let dropped = shards / 2;
+        servers.remove(dropped).shutdown();
+        let outcome = client.query(&full);
+        assert!(
+            matches!(
+                outcome.verdict,
+                Err(ShardedVerifyError::MissingShardSlice { shard }) if shard == dropped
+            ),
+            "{shards} shards: {:?}",
+            outcome.verdict
+        );
+        assert_eq!(outcome.slices.len(), shards - 1);
+        assert!(outcome
+            .endpoint_errors
+            .iter()
+            .any(|(shard, _)| *shard == dropped));
+        for server in servers {
+            server.shutdown();
+        }
     }
 }
 
@@ -386,22 +398,24 @@ fn an_honest_too_large_refusal_demotes_nobody() {
     let mut client =
         NetClient::for_engine_topology(&engine, topology, NetClientConfig::default()).unwrap();
 
-    // Every replica refuses the full range the same way: the shard goes
-    // unanswered and each refusal is reported, but nobody is demoted.
+    // The refusal is deterministic — every replica would repeat it — so the
+    // shard ends with its own typed verdict after one ask: no sibling is
+    // tried and nobody is demoted.
     let wide = client.query(&RangeQuery::new(0, DOMAIN));
     assert!(
         matches!(
             wide.verdict,
-            Err(ShardedVerifyError::MissingShardSlice { shard: 0 })
+            Err(ShardedVerifyError::ResponseTooLarge { shard: 0 })
         ),
         "{:?}",
         wide.verdict
     );
-    assert!(!wide.endpoint_errors.is_empty());
-    assert!(wide.endpoint_errors.iter().all(|(_, e)| matches!(
-        e,
-        NetError::Remote { code, .. } if *code == sae_net::frame::code::RESPONSE_TOO_LARGE
-    )));
+    assert_eq!(wide.endpoint_errors.len(), 1, "{:?}", wide.endpoint_errors);
+    assert!(matches!(
+        &wide.endpoint_errors[0],
+        (0, NetError::Remote { code, .. }) if *code == sae_net::frame::code::RESPONSE_TOO_LARGE
+    ));
+    assert_eq!(wide.failovers, 0);
     assert!(client.demoted().is_empty(), "{:?}", client.demoted());
 
     // The next small query is served by the preferred replica.

@@ -186,11 +186,10 @@ impl FilePager {
 
     /// Adds a simulated latency to every durability barrier, slept while
     /// the file lock is held (a real device stalls same-file writers during
-    /// a barrier too). Zero — the default — disables it. Like
-    /// `ServeOptions::io_micros_per_query` and the 10 ms/node-access cost
-    /// model, this lets experiments on fast CI disks measure protocol
-    /// effects (group commit amortizing fsyncs) at production-disk barrier
-    /// costs; the real `fdatasync` is still issued.
+    /// a barrier too). Zero — the default — disables it. This lets
+    /// experiments on fast CI disks measure protocol effects (group commit
+    /// amortizing fsyncs) at production-disk barrier costs; the real
+    /// `fdatasync` is still issued.
     pub fn set_sync_delay_micros(&self, micros: u64) {
         self.sync_delay_micros.store(micros, Ordering::Relaxed);
     }

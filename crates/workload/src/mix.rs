@@ -110,13 +110,6 @@ impl QueryMix {
         base_seed ^ client_id.wrapping_mul(0x9E37_79B9_7F4A_7C15)
     }
 
-    /// The first `count` queries of `client_id`'s stream.
-    pub fn client_queries(&self, base_seed: u64, client_id: u64, count: usize) -> Vec<RangeQuery> {
-        self.stream(Self::client_seed(base_seed, client_id))
-            .take(count)
-            .collect()
-    }
-
     /// A finite workload drawn from one stream (for single-threaded replays).
     pub fn workload(&self, count: usize, seed: u64) -> QueryWorkload {
         QueryWorkload {
@@ -189,9 +182,12 @@ mod tests {
     #[test]
     fn client_streams_are_deterministic_and_distinct() {
         let mix = QueryMix::paper_uniform();
-        let a = mix.client_queries(9, 0, 50);
-        let b = mix.client_queries(9, 0, 50);
-        let c = mix.client_queries(9, 1, 50);
+        let client = |id| {
+            mix.stream(QueryMix::client_seed(9, id))
+                .take(50)
+                .collect::<Vec<_>>()
+        };
+        let (a, b, c) = (client(0), client(0), client(1));
         assert_eq!(a, b);
         assert_ne!(a, c);
     }

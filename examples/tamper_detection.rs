@@ -10,6 +10,11 @@
 //! practical side of that claim: it runs drop / inject / modify / substitute
 //! attacks of increasing size against both the SAE client (XOR token check)
 //! and the TOM client (VO verification) and prints the detection matrix.
+//!
+//! The last row is a known hole: digests XOR linearly, so an SP that
+//! fabricates ~200 records can solve for a subset folding to the honest
+//! token (Bellare–Micciancio). SAE accepts it and TOM rejects it; the example
+//! prints it apart from the detected attacks (ROADMAP.md, item 2).
 
 use sae::prelude::*;
 
@@ -91,9 +96,28 @@ fn main() {
         }
     }
 
+    // The known hole, labelled as such: the forged subset passes every
+    // structural check and the XOR fold, so only TOM catches it.
+    let forgery = TamperStrategy::LinearForgery {
+        alg: HashAlgorithm::Sha1,
+    };
+    let sae_forged = sae
+        .query_with_tamper(&query, forgery, 42)
+        .expect("SAE query");
+    let tom_forged = tom
+        .query_with_tamper(&query, forgery, 42)
+        .expect("TOM query");
+    let verdict = |ok: bool| if ok { "accepted" } else { "REJECTED" };
+    println!(
+        "{:<28} {:>14} {:>14}   <- known hole: XOR fold is linear",
+        "linear forgery (GF(2)^160)",
+        verdict(sae_forged.metrics.verified),
+        verdict(tom_forged.metrics.verified)
+    );
+
     println!();
     if all_attacks_detected {
-        println!("every attack was detected by both models ✓");
+        println!("every attack above the known hole was detected by both models ✓");
     } else {
         println!("WARNING: some attack went undetected");
         std::process::exit(1);

@@ -57,9 +57,9 @@ pub use sae_xbtree as xbtree;
 pub mod prelude {
     pub use sae_core::{
         CommitCrashPoint, DurabilityPolicy, LatencySummary, QueryMetrics, SaeClient,
-        SaeQueryOutcome, SaeSystem, SaeVerifyError, ServeOptions, ShardLayout, ShardSlice,
-        ShardedQueryOutcome, ShardedSaeEngine, ShardedVerifyError, StorageBreakdown,
-        TamperStrategy, ThroughputReport, TomQueryOutcome, TomSystem, TrustedEntity,
+        SaeQueryOutcome, SaeSystem, SaeVerifyError, ShardLayout, ShardSlice, ShardedQueryOutcome,
+        ShardedSaeEngine, ShardedVerifyError, StorageBreakdown, TamperStrategy, ThroughputReport,
+        TomQueryOutcome, TomSystem, TrustedEntity,
     };
     pub use sae_crypto::{
         hash_bytes, Digest, HashAlgorithm, MacSigner, RsaSigner, Signer, Verifier, XorDigest,

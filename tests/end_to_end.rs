@@ -85,6 +85,33 @@ fn sae_and_tom_agree_on_results_and_both_detect_the_same_attacks() {
     }
 }
 
+/// A known hole (the XOR combiner is linear): pins today's verdict, so a
+/// sound combiner shows up here as a deliberate change of this test.
+#[test]
+fn a_linear_forgery_passes_the_xor_fold_but_not_the_vo() {
+    let ds = dataset(6_000, KeyDistribution::unf(), 10);
+    let sae = SaeSystem::build_in_memory(&ds, ALG).unwrap();
+    let signer = MacSigner::new(b"key".to_vec());
+    let tom = TomSystem::build_in_memory(&ds, ALG, signer.clone(), signer).unwrap();
+
+    let keys = ds.sorted_keys();
+    let point = RangeQuery::new(keys[3_000], keys[3_001]);
+    let scan = RangeQuery::new(keys[2_000], keys[2_999]);
+    for (q, records) in [(point, 2), (scan, 1_000)] {
+        assert_eq!(ds.query_cardinality(&q), records, "{q}");
+        let forgery = TamperStrategy::LinearForgery { alg: ALG };
+        let forged = sae.query_with_tamper(&q, forgery, 3).unwrap();
+        let honest = sae.query(&q).unwrap();
+        assert!(forged.records.iter().all(|r| !honest.records.contains(r)));
+        assert!(forged.metrics.verified, "SAE rejected the forgery on {q}");
+        let tom_forged = tom.query_with_tamper(&q, forgery, 3).unwrap();
+        assert!(
+            !tom_forged.metrics.verified,
+            "TOM accepted the forgery on {q}"
+        );
+    }
+}
+
 #[test]
 fn the_vt_equals_the_xor_of_the_oracle_digests() {
     // The defining equation of SAE: VT = RS⊕.
@@ -179,13 +206,7 @@ fn concurrent_engine_agrees_with_the_sequential_system() {
     let queries = QueryMix::uniform(10_000_000, 0.005)
         .workload(40, 51)
         .queries;
-    let report = engine.serve_batch(
-        &queries,
-        &ServeOptions {
-            threads: 4,
-            io_micros_per_query: 0,
-        },
-    );
+    let report = engine.serve_batch(&queries, 4);
     assert_eq!(report.queries, 40);
     assert_eq!(report.failed, 0);
     assert!(

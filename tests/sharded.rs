@@ -203,13 +203,7 @@ fn concurrent_spanning_batches_and_routed_updates_agree_with_the_oracle() {
     let queries = QueryMix::spanning(DOMAIN, 0.005, 4)
         .workload(40, 13)
         .queries;
-    let report = engine.serve_batch(
-        &queries,
-        &ServeOptions {
-            threads: 4,
-            io_micros_per_query: 0,
-        },
-    );
+    let report = engine.serve_batch(&queries, 4);
     assert_eq!(report.queries, 40);
     assert!(report.all_verified, "a sharded concurrent query failed");
     let expected: u64 = queries
