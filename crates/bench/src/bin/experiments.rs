@@ -5,7 +5,6 @@
 //! cargo run --release -p sae-bench --bin experiments -- fig6 --full-scale
 //! cargo run --release -p sae-bench --bin experiments -- fig5 --json out.json
 //! cargo run --release -p sae-bench --bin experiments -- ablation-scan
-//! cargo run --release -p sae-bench --bin experiments -- group-commit --smoke --json gc.json
 //! ```
 //!
 //! Figures 5–8 share one measurement sweep (each `(distribution, n)` pair is
@@ -16,16 +15,13 @@
 //! verified query or a durable write is measured by `benchmark/`, not here.
 
 use sae_bench::{
-    print_ablation_memory, print_ablation_scan, print_ablation_updates, print_fanout, print_fig5,
-    print_fig6, print_fig7, print_fig8, print_group_commit, print_replicas, report_to_json,
-    rows_to_json, run_ablation_memory, run_ablation_scan, run_ablation_updates, run_comparison,
-    run_fanout, run_group_commit, run_replicas, ExperimentConfig, FanoutConfig, GroupCommitConfig,
-    ReplicasConfig,
+    print_ablation_memory, print_ablation_scan, print_ablation_updates, print_fig5, print_fig6,
+    print_fig7, print_fig8, rows_to_json, run_ablation_memory, run_ablation_scan,
+    run_ablation_updates, run_comparison, ExperimentConfig,
 };
 
 const USAGE: &str = "usage: experiments \
-     <fig5|fig6|fig7|fig8|all|ablation-scan|ablation-updates|ablation-memory|group-commit\
-|replicas|fanout> \
+     <fig5|fig6|fig7|fig8|all|ablation-scan|ablation-updates|ablation-memory> \
      [--full-scale] [--smoke] [--json <path>]
 
 exit codes (shared convention with sae-analyzer):
@@ -58,7 +54,6 @@ impl Cli {
             "ablation-scan" | "ablation-updates" | "ablation-memory" => {
                 &["--full-scale", "--smoke"]
             }
-            "group-commit" | "replicas" | "fanout" => &["--smoke", "--json"],
             other => return Err(format!("unknown command `{other}`")),
         };
         let mut cli = Cli {
@@ -163,94 +158,6 @@ fn run(cli: &Cli) -> Result<bool, String> {
             }
             rows.iter().all(|r| r.sae.verified && r.tom.verified)
         }
-        "group-commit" => {
-            let gc_config = if cli.smoke {
-                GroupCommitConfig::smoke()
-            } else {
-                GroupCommitConfig::default()
-            };
-            println!(
-                "group-commit experiment — n={}, shards {:?}, writers {:?}, {} durable write \
-                 round trips per writer, {} µs simulated fsync latency, {}-page buffer pool per \
-                 shard; policies: immediate vs group vs flush-on-close, each reopened and \
-                 re-verified after the run",
-                gc_config.cardinality,
-                gc_config.shard_counts,
-                gc_config.writer_threads,
-                gc_config.ops_per_writer,
-                gc_config.sync_delay_micros,
-                gc_config.cache_pages
-            );
-            // Unique per process so concurrent or previously interrupted
-            // runs cannot collide on a shared path.
-            let dir = std::env::temp_dir().join(format!("sae-group-commit-{}", std::process::id()));
-            std::fs::create_dir_all(&dir).expect("create temp dir");
-            let rows = run_group_commit(&gc_config, &dir);
-            let _ = std::fs::remove_dir_all(&dir);
-            print_group_commit(&rows);
-            if let Some(path) = &cli.json_path {
-                write_json(path, report_to_json(&rows))?;
-            }
-            rows.iter().all(|r| r.all_verified)
-        }
-        "replicas" => {
-            let rp_config = if cli.smoke {
-                ReplicasConfig::smoke()
-            } else {
-                ReplicasConfig::default()
-            };
-            println!(
-                "replicas experiment — n={}, {} shards, replica counts {:?} (+1 byzantine \
-                 each), {} client threads x {} zipf queries of {}% extent, {} µs gated service \
-                 delay per replica; every slice re-verified, byzantine and stale-epoch replicas \
-                 routed around per row",
-                rp_config.cardinality,
-                rp_config.shards,
-                rp_config.replica_counts,
-                rp_config.threads,
-                rp_config.queries_per_thread,
-                rp_config.query_extent * 100.0,
-                rp_config.service_delay_micros
-            );
-            // Unique per process so concurrent or previously interrupted
-            // runs cannot collide on a shared path.
-            let dir = std::env::temp_dir().join(format!("sae-replicas-{}", std::process::id()));
-            std::fs::create_dir_all(&dir).expect("create temp dir");
-            let rows = run_replicas(&rp_config, &dir);
-            let _ = std::fs::remove_dir_all(&dir);
-            print_replicas(&rows);
-            if let Some(path) = &cli.json_path {
-                write_json(path, report_to_json(&rows))?;
-            }
-            rows.iter()
-                .all(|r| r.all_verified && r.byzantine_routed_around && r.stale_routed_around)
-        }
-        "fanout" => {
-            let fo_config = if cli.smoke {
-                FanoutConfig::smoke()
-            } else {
-                FanoutConfig::default()
-            };
-            println!(
-                "fanout experiment — n={}, {} shard servers at {} µs gated service delay, {} \
-                 span-all-shards queries per dispatch mode; hedge leg: fast {} µs vs slow {} µs \
-                 replica, {} µs hedge window, {} queries per client; every slice re-verified",
-                fo_config.cardinality,
-                fo_config.shards,
-                fo_config.service_delay_micros,
-                fo_config.fanout_queries,
-                fo_config.fast_delay_micros,
-                fo_config.slow_delay_micros,
-                fo_config.hedge_timeout_micros,
-                fo_config.hedge_queries
-            );
-            let rows = run_fanout(&fo_config);
-            print_fanout(&rows);
-            if let Some(path) = &cli.json_path {
-                write_json(path, report_to_json(&rows))?;
-            }
-            rows.iter().all(|r| r.all_verified)
-        }
         "ablation-scan" => {
             print_ablation_scan(&run_ablation_scan(&config));
             true
@@ -294,6 +201,9 @@ mod tests {
             "durability",
             "wal",
             "net",
+            "group-commit",
+            "replicas",
+            "fanout",
         ] {
             assert!(Cli::parse(&strings(&[retired, "--smoke"])).is_err());
         }
@@ -308,11 +218,11 @@ mod tests {
         assert!(cli.smoke);
         assert!(!cli.full_scale);
         assert_eq!(cli.json_path.as_deref(), Some("out.json"));
-        let cli = Cli::parse(&strings(&["fanout", "--smoke", "--json", "fo.json"])).unwrap();
-        assert_eq!(cli.command, "fanout");
-        assert!(cli.smoke);
-        assert_eq!(cli.json_path.as_deref(), Some("fo.json"));
-        // --full-scale exists, but `fanout` does not consume it.
-        assert!(Cli::parse(&strings(&["fanout", "--full-scale"])).is_err());
+        let cli = Cli::parse(&strings(&["ablation-scan", "--full-scale"])).unwrap();
+        assert_eq!(cli.command, "ablation-scan");
+        assert!(cli.full_scale);
+        assert_eq!(cli.json_path, None);
+        // --json exists, but the ablations do not consume it.
+        assert!(Cli::parse(&strings(&["ablation-scan", "--json", "a.json"])).is_err());
     }
 }

@@ -1,18 +1,10 @@
 //! Experiment drivers: build SAE and TOM side by side and measure them.
 
-use sae_core::{
-    DurabilityPolicy, QueryMetrics, SaeSystem, ShardedSaeEngine, StorageBreakdown, TomSystem,
-};
+use sae_core::{QueryMetrics, SaeSystem, StorageBreakdown, TomSystem};
 use sae_crypto::signer::{Signer, Verifier};
 use sae_crypto::{HashAlgorithm, MacSigner, RsaSigner};
-use sae_net::{
-    NetClient, NetClientConfig, ReplicaServer, ReplicaServerConfig, ServerTamper, ShardServer,
-    ShardServerConfig, Topology,
-};
 use sae_storage::{CostModel, FilePager, MemPager, SharedPageStore};
-use sae_workload::{
-    paper, Dataset, DatasetSpec, KeyDistribution, QueryMix, QueryWorkload, RangeQuery, Record,
-};
+use sae_workload::{paper, Dataset, DatasetSpec, KeyDistribution, QueryWorkload, Record};
 use sae_xbtree::XbTree;
 use serde::Serialize;
 use std::sync::Arc;
@@ -400,762 +392,6 @@ pub fn run_ablation_memory(
     rows
 }
 
-/// Configuration of the group-commit experiment (E11).
-#[derive(Clone, Debug)]
-pub struct GroupCommitConfig {
-    /// Dataset cardinality.
-    pub cardinality: usize,
-    /// Encoded record size in bytes.
-    pub record_size: usize,
-    /// Shard counts to sweep; each point gets its own deployment directory.
-    pub shard_counts: Vec<usize>,
-    /// Writer-thread counts to sweep (each thread is one closed-loop
-    /// write-only client).
-    pub writer_threads: Vec<usize>,
-    /// Durable write round trips each writer issues per sweep point.
-    pub ops_per_writer: usize,
-    /// Buffer-pool capacity in pages per shard and party.
-    pub cache_pages: usize,
-    /// How many times each sweep point is measured; the best run is
-    /// reported (robustness against scheduler noise).
-    pub repeats: usize,
-    /// Queries in the post-reopen verification batch.
-    pub verify_queries: usize,
-    /// Simulated latency added to every pager fsync, in microseconds —
-    /// models a production disk's barrier cost on fast CI storage (see
-    /// `FilePager::set_sync_delay_micros`). This is the quantity group
-    /// commit amortizes; at zero the sweep measures the host's raw fsync.
-    pub sync_delay_micros: u64,
-    /// Base RNG seed.
-    pub seed: u64,
-}
-
-impl Default for GroupCommitConfig {
-    fn default() -> Self {
-        GroupCommitConfig {
-            cardinality: 20_000,
-            record_size: paper::RECORD_SIZE,
-            shard_counts: vec![1, 4],
-            writer_threads: vec![1, 2, 4],
-            ops_per_writer: 40,
-            cache_pages: 256,
-            repeats: 3,
-            verify_queries: 32,
-            sync_delay_micros: 3_000,
-            seed: 2009,
-        }
-    }
-}
-
-impl GroupCommitConfig {
-    /// A fast configuration for smoke tests and the CI bench gate: the
-    /// 4-shard deployment at 1 and 4 writers, every policy.
-    pub fn smoke() -> Self {
-        GroupCommitConfig {
-            cardinality: 4_000,
-            shard_counts: vec![4],
-            writer_threads: vec![1, 4],
-            ops_per_writer: 30,
-            repeats: 2,
-            ..Default::default()
-        }
-    }
-}
-
-/// One `(policy, threads, shards)` measurement of the E11 sweep.
-#[derive(Clone, Debug, Serialize)]
-pub struct GroupCommitRow {
-    /// Durability policy label: `"immediate"`, `"group"`, `"flush-on-close"`.
-    pub policy: String,
-    /// Writer threads (concurrent closed-loop write clients).
-    pub threads: usize,
-    /// Key-range shards (and pager-file pairs).
-    pub shards: usize,
-    /// Durable write round trips served.
-    pub ops: u64,
-    /// Whether every write succeeded *and* the reopened deployment served a
-    /// fully verified post-restart query batch (crash consistency held).
-    pub all_verified: bool,
-    /// Wall-clock milliseconds for the write batch.
-    pub wall_ms: f64,
-    /// Durable writes per second.
-    pub writes_per_sec: f64,
-    /// Median write latency (ms).
-    pub p50_ms: f64,
-    /// 99th-percentile write latency (ms).
-    pub p99_ms: f64,
-    /// Pager fsyncs issued during the batch (both parties, all shards).
-    pub fsyncs: u64,
-    /// Fsyncs per write — what group commit amortizes.
-    pub fsyncs_per_op: f64,
-    /// Throughput relative to the `immediate` row at the same threads and
-    /// shards (1.0 for the `immediate` rows themselves).
-    pub speedup_vs_immediate: f64,
-}
-
-/// Experiment E11: durable write throughput and fsyncs-per-op under each
-/// [`DurabilityPolicy`], as writer threads and shard count grow. Every
-/// sweep point builds a fresh file-backed deployment, drives a write-only
-/// closed loop (`serve_ops` with a 100 % write fraction — every op is an
-/// acknowledged durable insert+delete round trip), then closes and
-/// *reopens* the deployment and serves a verified query batch, so a policy
-/// only scores if its acknowledged writes actually survived the restart.
-pub fn run_group_commit(config: &GroupCommitConfig, dir: &std::path::Path) -> Vec<GroupCommitRow> {
-    let dataset = DatasetSpec {
-        cardinality: config.cardinality,
-        distribution: KeyDistribution::unf(),
-        record_size: config.record_size,
-        seed: config.seed,
-    }
-    .generate();
-    let domain = KeyDistribution::unf().domain();
-    // Zipf-skewed write placement (the paper's θ = 0.8): real write
-    // workloads concentrate on hot key ranges, and that per-shard queueing
-    // is exactly what group commit batches. Uniform placement at few
-    // writers spreads one writer per shard and leaves nothing to batch.
-    let mix = QueryMix::zipf(domain, 0.002, paper::ZIPF_THETA);
-    let verify_queries = mix
-        .workload(config.verify_queries, config.seed ^ 0xE11)
-        .queries;
-    let policies = [
-        DurabilityPolicy::Immediate,
-        DurabilityPolicy::group(),
-        DurabilityPolicy::FlushOnClose,
-    ];
-
-    let mut rows = Vec::new();
-    for &shards in &config.shard_counts {
-        for &threads in &config.writer_threads {
-            let mut group: Vec<GroupCommitRow> = Vec::new();
-            for policy in policies {
-                let deploy_dir = dir.join(format!("gc-{shards}-{threads}-{}", policy.label()));
-                let _ = std::fs::remove_dir_all(&deploy_dir);
-                let engine = ShardedSaeEngine::create_dir_with(
-                    &deploy_dir,
-                    &dataset,
-                    HashAlgorithm::Sha1,
-                    shards,
-                    Some(config.cache_pages),
-                    policy,
-                )
-                .expect("create durable deployment");
-                engine.set_simulated_sync_delay_micros(config.sync_delay_micros);
-
-                // Best of `repeats`: the fsync-bound closed loop is at the
-                // scheduler's mercy on shared runners.
-                let report = (0..config.repeats.max(1))
-                    .map(|_| {
-                        engine.serve_ops(
-                            &mix,
-                            1.0, // write-only: every op is a durable round trip
-                            config.record_size,
-                            config.ops_per_writer,
-                            config.seed ^ 0xE11,
-                            threads,
-                        )
-                    })
-                    .max_by(|a, b| {
-                        a.queries_per_sec
-                            .partial_cmp(&b.queries_per_sec)
-                            .expect("throughput is finite")
-                    })
-                    .expect("at least one repeat");
-                let fsyncs: u64 = report.party_io.iter().map(|p| p.delta.syncs).sum();
-                let writes_ok = report.all_verified && report.failed == 0;
-                engine.close().expect("close deployment");
-
-                // Crash-consistency check: the reopened deployment must
-                // serve a fully verified batch from its committed state.
-                let reopened = ShardedSaeEngine::open_dir(
-                    &deploy_dir,
-                    HashAlgorithm::Sha1,
-                    Some(config.cache_pages),
-                )
-                .expect("reopen durable deployment");
-                let verify = reopened.serve_batch(&verify_queries, threads.max(2));
-                reopened.close().expect("close reopened deployment");
-                let _ = std::fs::remove_dir_all(&deploy_dir);
-
-                group.push(GroupCommitRow {
-                    policy: policy.label().to_string(),
-                    threads,
-                    shards,
-                    ops: report.queries,
-                    all_verified: writes_ok && verify.all_verified && verify.failed == 0,
-                    wall_ms: report.wall_ms,
-                    writes_per_sec: report.queries_per_sec,
-                    p50_ms: report.latency.p50_ms,
-                    p99_ms: report.latency.p99_ms,
-                    fsyncs,
-                    fsyncs_per_op: fsyncs as f64 / report.queries.max(1) as f64,
-                    speedup_vs_immediate: 1.0,
-                });
-            }
-            let baseline = group
-                .iter()
-                .find(|r| r.policy == "immediate")
-                .map(|r| r.writes_per_sec)
-                .unwrap_or(1.0);
-            for mut row in group {
-                row.speedup_vs_immediate = row.writes_per_sec / baseline;
-                rows.push(row);
-            }
-        }
-    }
-    rows
-}
-
-/// Index of the value at quantile `q` in an ascending-sorted sample.
-fn percentile(sorted_ms: &[f64], q: f64) -> f64 {
-    if sorted_ms.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted_ms.len() - 1) as f64 * q).round() as usize;
-    sorted_ms[idx.min(sorted_ms.len() - 1)]
-}
-
-/// Configuration of the E14 replica experiment.
-#[derive(Clone, Debug)]
-pub struct ReplicasConfig {
-    /// Dataset cardinality.
-    pub cardinality: usize,
-    /// Encoded record size in bytes.
-    pub record_size: usize,
-    /// Honest-replica counts to sweep (each deployment adds one more
-    /// byzantine replica on top).
-    pub replica_counts: Vec<usize>,
-    /// Shards in the durable primary (every replica serves all of them).
-    pub shards: usize,
-    /// Concurrent client threads, each owning its own `NetClient`.
-    pub threads: usize,
-    /// Range queries per client thread in the measured phase.
-    pub queries_per_thread: usize,
-    /// Query extent as a fraction of the key domain.
-    pub query_extent: f64,
-    /// Simulated per-query service time on every replica, serialized behind
-    /// a server-wide gate — what makes a single replica a saturation point
-    /// and lets added replicas scale the read path.
-    pub service_delay_micros: u64,
-    /// Base RNG seed.
-    pub seed: u64,
-}
-
-impl Default for ReplicasConfig {
-    fn default() -> Self {
-        ReplicasConfig {
-            cardinality: 12_000,
-            record_size: paper::RECORD_SIZE,
-            replica_counts: vec![1, 2, 3],
-            shards: 2,
-            threads: 3,
-            queries_per_thread: 60,
-            query_extent: 0.01,
-            service_delay_micros: 5_000,
-            seed: 2014,
-        }
-    }
-}
-
-impl ReplicasConfig {
-    /// A fast configuration for smoke tests and the CI bench gate.
-    pub fn smoke() -> Self {
-        ReplicasConfig {
-            cardinality: 3_000,
-            queries_per_thread: 24,
-            ..Default::default()
-        }
-    }
-}
-
-/// One replica count's measurement of the E14 experiment.
-#[derive(Clone, Debug, Serialize)]
-pub struct ReplicaRow {
-    /// Honest replicas in the deployment.
-    pub replicas: usize,
-    /// Total replica endpoints in the topology (honest + 1 byzantine).
-    pub endpoints: usize,
-    /// Concurrent client threads.
-    pub threads: usize,
-    /// Range queries in the measured phase across all threads.
-    pub queries: u64,
-    /// Verified queries per second across all threads.
-    pub qps: f64,
-    /// Median end-to-end latency (scatter + gather + verify), ms.
-    pub p50_ms: f64,
-    /// 95th-percentile end-to-end latency, ms.
-    pub p95_ms: f64,
-    /// qps relative to the smallest replica count in the sweep.
-    pub speedup: f64,
-    /// Queries whose verdict was `Ok` — must equal `queries`.
-    pub verified: u64,
-    /// Every measured query verified despite the armed byzantine replica.
-    pub all_verified: bool,
-    /// Queries issued while the byzantine replica was armed (the whole
-    /// measured phase runs with it in the topology).
-    pub byzantine_queries: u64,
-    /// The byzantine replica was consulted at least once (failover legs
-    /// observed) and zero unverified responses were accepted.
-    pub byzantine_routed_around: bool,
-    /// The stale-epoch leg: a replica advertising epoch 0 was refused by
-    /// the freshness check and its sibling answered, every verdict `Ok`.
-    pub stale_routed_around: bool,
-    /// Failover legs across the measured phase (slow, erroring, stale or
-    /// byzantine sources all count).
-    pub failovers: u64,
-    /// Slices refused by the freshness check during the measured phase.
-    pub stale_refused: u64,
-}
-
-/// What one E14 client thread measured.
-struct ReplicaThreadOut {
-    latencies_ms: Vec<f64>,
-    verified: u64,
-    failovers: u64,
-    stale_refused: u64,
-}
-
-/// Experiment E14: trustless read replicas — verified qps versus replica
-/// count over loopback TCP. One durable primary feeds each deployment's
-/// replicas (snapshot bootstrap + WAL-tail sync); every deployment also
-/// carries one *byzantine* replica (doctored record bytes) that clients
-/// must detect, demote and route around with zero unverified responses.
-/// A final leg per row arms a stale-epoch replica (honest content, epoch
-/// claim below the client's verified high-water mark) and expects the
-/// freshness check to refuse it the same way.
-pub fn run_replicas(config: &ReplicasConfig, dir: &std::path::Path) -> Vec<ReplicaRow> {
-    let dataset = DatasetSpec {
-        cardinality: config.cardinality,
-        distribution: KeyDistribution::unf(),
-        record_size: config.record_size,
-        seed: config.seed,
-    }
-    .generate();
-    let domain = KeyDistribution::unf().domain();
-    let engine = Arc::new(
-        ShardedSaeEngine::create_dir(dir, &dataset, HashAlgorithm::Sha1, config.shards, None)
-            .expect("build durable primary"),
-    );
-    // The primary serves only replica sync — measured queries go to replicas.
-    let primary = ShardServer::spawn(
-        Arc::clone(&engine),
-        (0..config.shards).collect(),
-        "127.0.0.1:0",
-        ShardServerConfig::default(),
-    )
-    .expect("spawn primary server on loopback");
-
-    let replica_cfg = ReplicaServerConfig {
-        server: ShardServerConfig {
-            service_delay: std::time::Duration::from_micros(config.service_delay_micros),
-            ..Default::default()
-        },
-        ..Default::default()
-    };
-    let client_cfg = NetClientConfig {
-        hedge_timeout: Some(std::time::Duration::from_millis(250)),
-        ..Default::default()
-    };
-
-    let mut rows: Vec<ReplicaRow> = Vec::new();
-    for &replicas in &config.replica_counts {
-        let spawn_replica = || {
-            ReplicaServer::spawn(
-                primary.local_addr().to_string(),
-                engine.layout().clone(),
-                HashAlgorithm::Sha1,
-                config.record_size,
-                (0..config.shards).collect(),
-                "127.0.0.1:0",
-                replica_cfg,
-            )
-            .expect("bootstrap replica from primary")
-        };
-        let honest: Vec<ReplicaServer> = (0..replicas).map(|_| spawn_replica()).collect();
-        let byzantine = spawn_replica();
-        byzantine.set_tamper(Some(ServerTamper::FlipRecordByte));
-        let endpoints: Vec<String> = honest
-            .iter()
-            .chain(std::iter::once(&byzantine))
-            .map(|r| r.local_addr().to_string())
-            .collect();
-        let topology = Topology::replicated(vec![endpoints; config.shards])
-            .expect("every shard has a replica group");
-
-        // Measured phase: every query runs with the byzantine replica armed
-        // and in rotation; verification must route around it every time.
-        let started = std::time::Instant::now();
-        let outs: Vec<ReplicaThreadOut> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..config.threads)
-                .map(|t| {
-                    let topology = topology.clone();
-                    let engine = &engine;
-                    scope.spawn(move || {
-                        let workload =
-                            QueryMix::zipf(domain, config.query_extent, paper::ZIPF_THETA)
-                                .workload(
-                                    config.queries_per_thread,
-                                    config.seed ^ 0xE14 ^ (t as u64).wrapping_mul(7_919),
-                                )
-                                .queries;
-                        let mut client =
-                            NetClient::for_engine_topology(engine, topology, client_cfg)
-                                .expect("topology covers the layout");
-                        let mut out = ReplicaThreadOut {
-                            latencies_ms: Vec::with_capacity(workload.len()),
-                            verified: 0,
-                            failovers: 0,
-                            stale_refused: 0,
-                        };
-                        for q in &workload {
-                            let outcome = client.query(q);
-                            out.verified += u64::from(outcome.verdict.is_ok());
-                            out.latencies_ms.push(outcome.elapsed_ms);
-                            out.failovers += outcome.failovers;
-                            out.stale_refused += outcome.stale_refused;
-                        }
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("client thread"))
-                .collect()
-        });
-        let elapsed = started.elapsed().as_secs_f64();
-
-        let queries = (config.threads * config.queries_per_thread) as u64;
-        let verified: u64 = outs.iter().map(|o| o.verified).sum();
-        let failovers: u64 = outs.iter().map(|o| o.failovers).sum();
-        let stale_refused: u64 = outs.iter().map(|o| o.stale_refused).sum();
-        let mut latencies_ms: Vec<f64> = outs.into_iter().flat_map(|o| o.latencies_ms).collect();
-        latencies_ms.sort_by(|a, b| a.partial_cmp(b).expect("latency is finite"));
-        let all_verified = verified == queries;
-
-        // Stale-epoch leg: a fresh client first raises its verified
-        // high-water marks against honest replicas, then the extra replica
-        // starts advertising epoch 0 — honest bytes, stale claim. The
-        // freshness check must refuse it and the sibling answer, with every
-        // verdict still `Ok`.
-        byzantine.set_tamper(None);
-        let mut stale_client =
-            NetClient::for_engine_topology(&engine, topology.clone(), client_cfg)
-                .expect("topology covers the layout");
-        let full = RangeQuery::new(0, domain);
-        let mut stale_routed_around = stale_client.query(&full).verdict.is_ok();
-        byzantine.set_tamper(Some(ServerTamper::StaleEpoch));
-        let mut leg_refusals = 0u64;
-        for _ in 0..2 * (replicas + 1) + 2 {
-            let outcome = stale_client.query(&full);
-            stale_routed_around &= outcome.verdict.is_ok();
-            leg_refusals += outcome.stale_refused;
-        }
-        stale_routed_around &= leg_refusals > 0;
-
-        rows.push(ReplicaRow {
-            replicas,
-            endpoints: replicas + 1,
-            threads: config.threads,
-            queries,
-            qps: queries as f64 / elapsed.max(1e-9),
-            p50_ms: percentile(&latencies_ms, 0.50),
-            p95_ms: percentile(&latencies_ms, 0.95),
-            speedup: 1.0, // filled in once the sweep's baseline is known
-            verified,
-            all_verified,
-            byzantine_queries: queries,
-            byzantine_routed_around: all_verified && failovers > 0,
-            stale_routed_around,
-            failovers,
-            stale_refused,
-        });
-        for replica in honest {
-            replica.shutdown();
-        }
-        byzantine.shutdown();
-    }
-    primary.shutdown();
-
-    let baseline = rows
-        .iter()
-        .min_by_key(|r| r.replicas)
-        .map(|r| r.qps)
-        .unwrap_or(0.0);
-    for row in &mut rows {
-        row.speedup = if baseline > 0.0 {
-            row.qps / baseline
-        } else {
-            0.0
-        };
-    }
-    rows
-}
-
-/// Configuration of the E16 fan-out experiment.
-#[derive(Clone, Debug)]
-pub struct FanoutConfig {
-    /// Dataset cardinality.
-    pub cardinality: usize,
-    /// Encoded record size in bytes.
-    pub record_size: usize,
-    /// Shard servers in the fan-out deployment (one endpoint per shard).
-    pub shards: usize,
-    /// Measured span-all-shards queries per fan-out leg.
-    pub fanout_queries: usize,
-    /// Simulated per-query service time on every fan-out server — the wait
-    /// the pipelined fan-out must overlap.
-    pub service_delay_micros: u64,
-    /// Measured queries per hedge leg.
-    pub hedge_queries: usize,
-    /// Service time of the fast replica in the hedge deployment.
-    pub fast_delay_micros: u64,
-    /// Service time of the deliberately slow replica.
-    pub slow_delay_micros: u64,
-    /// The hedged client's `hedge_timeout`.
-    pub hedge_timeout_micros: u64,
-    /// Base RNG seed.
-    pub seed: u64,
-}
-
-impl Default for FanoutConfig {
-    fn default() -> Self {
-        // The dataset is kept deliberately small (and the records short):
-        // E16 measures how dispatch overlaps *service waits*, so the
-        // serial per-query cost — scan, transfer, client-side verify —
-        // must stay well below the simulated delays or it compresses the
-        // ratio toward 1 regardless of how well the fan-out overlaps.
-        FanoutConfig {
-            cardinality: 2_400,
-            record_size: 64,
-            shards: 4,
-            fanout_queries: 40,
-            service_delay_micros: 5_000,
-            hedge_queries: 40,
-            fast_delay_micros: 1_000,
-            slow_delay_micros: 80_000,
-            hedge_timeout_micros: 10_000,
-            seed: 2016,
-        }
-    }
-}
-
-impl FanoutConfig {
-    /// A fast configuration for smoke tests and the CI bench gate.
-    pub fn smoke() -> Self {
-        FanoutConfig {
-            cardinality: 1_200,
-            fanout_queries: 24,
-            hedge_queries: 24,
-            ..Default::default()
-        }
-    }
-}
-
-/// One leg's measurement of the E16 fan-out experiment.
-#[derive(Clone, Debug, Serialize)]
-pub struct FanoutRow {
-    /// `sequential` / `concurrent` (fan-out legs) or `unhedged` / `hedged`
-    /// (hedge legs).
-    pub leg: String,
-    /// Shards in the deployment.
-    pub shards: usize,
-    /// Replica endpoints in the topology.
-    pub endpoints: usize,
-    /// Measured queries (after warm-up).
-    pub queries: u64,
-    /// Mean end-to-end latency (scatter + gather + verify), ms.
-    pub mean_ms: f64,
-    /// Median end-to-end latency, ms.
-    pub p50_ms: f64,
-    /// 95th-percentile end-to-end latency, ms.
-    pub p95_ms: f64,
-    /// 99th-percentile end-to-end latency, ms.
-    pub p99_ms: f64,
-    /// Latency relative to the leg's baseline: p50 vs `sequential` for the
-    /// `concurrent` leg, p99 vs `unhedged` for the `hedged` leg, 1.0 for
-    /// the baselines themselves.
-    pub ratio_vs_baseline: f64,
-    /// Hedge legs raced across the measured queries.
-    pub hedges: u64,
-    /// Failover hops across the measured queries.
-    pub failovers: u64,
-    /// Every measured query verified via the shared `verify_slices` with no
-    /// endpoint errors.
-    pub all_verified: bool,
-}
-
-/// Drives `queries` measured full-domain queries (after two warm-ups that
-/// also populate the connection pool) and folds them into a [`FanoutRow`].
-fn fanout_leg(
-    leg: &str,
-    engine: &ShardedSaeEngine,
-    topology: Topology,
-    cfg: NetClientConfig,
-    full: &RangeQuery,
-    queries: usize,
-) -> FanoutRow {
-    let endpoints = topology.max_group();
-    let mut client =
-        NetClient::for_engine_topology(engine, topology, cfg).expect("topology covers the layout");
-    let mut all_verified = true;
-    for _ in 0..2 {
-        all_verified &= client.query(full).verdict.is_ok();
-    }
-    let mut latencies_ms = Vec::with_capacity(queries);
-    let mut hedges = 0u64;
-    let mut failovers = 0u64;
-    for _ in 0..queries {
-        let outcome = client.query(full);
-        all_verified &= outcome.verdict.is_ok() && outcome.endpoint_errors.is_empty();
-        latencies_ms.push(outcome.elapsed_ms);
-        hedges += outcome.hedges;
-        failovers += outcome.failovers;
-    }
-    let mean_ms = latencies_ms.iter().sum::<f64>() / latencies_ms.len().max(1) as f64;
-    latencies_ms.sort_by(|a, b| a.partial_cmp(b).expect("latency is finite"));
-    FanoutRow {
-        leg: leg.to_string(),
-        shards: engine.shard_count(),
-        endpoints,
-        queries: queries as u64,
-        mean_ms,
-        p50_ms: percentile(&latencies_ms, 0.50),
-        p95_ms: percentile(&latencies_ms, 0.95),
-        p99_ms: percentile(&latencies_ms, 0.99),
-        ratio_vs_baseline: 1.0, // filled in once the leg's baseline is known
-        hedges,
-        failovers,
-        all_verified,
-    }
-}
-
-/// Experiment E16: the concurrent scatter phase and true hedged reads.
-///
-/// Fan-out legs: one delayed `ShardServer` per shard (every query waits
-/// `service_delay` at every endpoint), span-all-shards queries fetched
-/// sequentially (send one, read one) vs pipelined (send all, then read)
-/// by the *same* `NetClient` code — the concurrent leg must pay roughly
-/// the max of the per-shard waits instead of their sum. Hedge legs: one
-/// shard behind a fast and a deliberately slow replica; the round-robin
-/// cursor makes half the unhedged queries pay the slow replica's full
-/// service time, while the hedged client races the
-/// fast sibling after `hedge_timeout` and takes the first valid slice —
-/// p99 must drop. Every slice on every leg passes the shared
-/// `verify_slices`.
-pub fn run_fanout(config: &FanoutConfig) -> Vec<FanoutRow> {
-    let dataset = DatasetSpec {
-        cardinality: config.cardinality,
-        distribution: KeyDistribution::unf(),
-        record_size: config.record_size,
-        seed: config.seed,
-    }
-    .generate();
-    let domain = KeyDistribution::unf().domain();
-    let full = RangeQuery::new(0, domain);
-
-    // --- Fan-out legs: sequential vs pipelined fetches over one delayed
-    // server per shard.
-    let engine = Arc::new(
-        ShardedSaeEngine::build_in_memory(&dataset, HashAlgorithm::Sha1, config.shards)
-            .expect("build sharded engine"),
-    );
-    let servers: Vec<ShardServer> = (0..config.shards)
-        .map(|shard| {
-            ShardServer::spawn(
-                Arc::clone(&engine),
-                vec![shard],
-                "127.0.0.1:0",
-                ShardServerConfig {
-                    service_delay: std::time::Duration::from_micros(config.service_delay_micros),
-                    ..Default::default()
-                },
-            )
-            .expect("spawn shard server on loopback")
-        })
-        .collect();
-    let endpoints: Vec<String> = servers.iter().map(|s| s.local_addr().to_string()).collect();
-    let sequential = fanout_leg(
-        "sequential",
-        &engine,
-        Topology::single(endpoints.clone()),
-        NetClientConfig {
-            sequential_fanout: true,
-            ..Default::default()
-        },
-        &full,
-        config.fanout_queries,
-    );
-    let mut concurrent = fanout_leg(
-        "concurrent",
-        &engine,
-        Topology::single(endpoints),
-        NetClientConfig::default(),
-        &full,
-        config.fanout_queries,
-    );
-    concurrent.ratio_vs_baseline = if sequential.p50_ms > 0.0 {
-        concurrent.p50_ms / sequential.p50_ms
-    } else {
-        0.0
-    };
-    for server in servers {
-        server.shutdown();
-    }
-
-    // --- Hedge legs: one shard behind a fast and a deliberately slow
-    // replica; round-robin alternates which one a query prefers.
-    let hedge_engine = Arc::new(
-        ShardedSaeEngine::build_in_memory(&dataset, HashAlgorithm::Sha1, 1)
-            .expect("build single-shard engine"),
-    );
-    let spawn_delayed = |delay_micros: u64| {
-        ShardServer::spawn(
-            Arc::clone(&hedge_engine),
-            vec![0],
-            "127.0.0.1:0",
-            ShardServerConfig {
-                service_delay: std::time::Duration::from_micros(delay_micros),
-                ..Default::default()
-            },
-        )
-        .expect("spawn replica server on loopback")
-    };
-    let fast = spawn_delayed(config.fast_delay_micros);
-    let slow = spawn_delayed(config.slow_delay_micros);
-    let group = vec![fast.local_addr().to_string(), slow.local_addr().to_string()];
-    let topology = Topology::replicated(vec![group]).expect("non-empty replica group");
-    let unhedged = fanout_leg(
-        "unhedged",
-        &hedge_engine,
-        topology.clone(),
-        NetClientConfig::default(),
-        &full,
-        config.hedge_queries,
-    );
-    let mut hedged = fanout_leg(
-        "hedged",
-        &hedge_engine,
-        topology,
-        NetClientConfig {
-            hedge_timeout: Some(std::time::Duration::from_micros(
-                config.hedge_timeout_micros,
-            )),
-            ..Default::default()
-        },
-        &full,
-        config.hedge_queries,
-    );
-    hedged.ratio_vs_baseline = if unhedged.p99_ms > 0.0 {
-        hedged.p99_ms / unhedged.p99_ms
-    } else {
-        0.0
-    };
-    fast.shutdown();
-    slow.shutdown();
-
-    vec![sequential, concurrent, unhedged, hedged]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1271,117 +507,6 @@ mod tests {
                 row.tom_sp_accesses_per_update
             ),
             (9.04, 10.04, 15.02)
-        );
-    }
-    /// Acceptance: at 4 concurrent writers, group commit must beat the
-    /// per-update-commit baseline (the batched fsyncs amortize), issue
-    /// strictly fewer fsyncs per op, and every policy's acknowledged writes
-    /// must survive the close/reopen with verified digests.
-    #[test]
-    fn group_commit_sweep_batches_and_stays_crash_consistent() {
-        let dir = tempfile::tempdir().unwrap();
-        let config = GroupCommitConfig {
-            cardinality: 2_000,
-            shard_counts: vec![2],
-            writer_threads: vec![4],
-            ops_per_writer: 12,
-            repeats: 2,
-            verify_queries: 12,
-            cache_pages: 128,
-            ..GroupCommitConfig::smoke()
-        };
-        let rows = run_group_commit(&config, dir.path());
-        assert_eq!(rows.len(), 3); // 1 shard count x 1 thread count x 3 policies
-        assert!(rows.iter().all(|r| r.all_verified), "{rows:?}");
-        let immediate = rows.iter().find(|r| r.policy == "immediate").unwrap();
-        let group = rows.iter().find(|r| r.policy == "group").unwrap();
-        let flush_on_close = rows.iter().find(|r| r.policy == "flush-on-close").unwrap();
-        // One WAL fsync acknowledges each immediate commit (the pre-WAL
-        // pipeline paid two header fsyncs plus a manifest rename per op).
-        assert!(immediate.fsyncs_per_op >= 1.0, "{immediate:?}");
-        assert!(
-            group.fsyncs_per_op < immediate.fsyncs_per_op,
-            "group {:.2} fsyncs/op vs immediate {:.2}",
-            group.fsyncs_per_op,
-            immediate.fsyncs_per_op
-        );
-        assert_eq!(flush_on_close.fsyncs, 0, "{flush_on_close:?}");
-        assert!(
-            group.writes_per_sec > immediate.writes_per_sec,
-            "group qps {:.0} did not beat immediate {:.0}",
-            group.writes_per_sec,
-            immediate.writes_per_sec
-        );
-        assert!((immediate.speedup_vs_immediate - 1.0).abs() < 1e-9);
-    }
-
-    /// Acceptance: read qps must scale > 1.5x from 1 to 3 replicas (each
-    /// replica's gated service delay is the saturation point the siblings
-    /// relieve), with the byzantine and stale-epoch replicas detected and
-    /// routed around on every row and zero unverified responses.
-    #[test]
-    fn replicas_scale_reads_and_route_around_byzantine_and_stale() {
-        let dir = tempfile::tempdir().unwrap();
-        let config = ReplicasConfig {
-            cardinality: 2_000,
-            replica_counts: vec![1, 3],
-            queries_per_thread: 16,
-            ..ReplicasConfig::smoke()
-        };
-        let rows = run_replicas(&config, dir.path());
-        assert_eq!(rows.len(), 2);
-        for row in &rows {
-            assert!(row.all_verified, "{row:?}");
-            assert!(row.byzantine_routed_around, "{row:?}");
-            assert!(row.stale_routed_around, "{row:?}");
-            assert_eq!(row.byzantine_queries, row.queries);
-        }
-        let three = rows.iter().find(|r| r.replicas == 3).unwrap();
-        assert!(
-            three.speedup > 1.5,
-            "1→3 replica speedup {:.2} (rows {rows:?})",
-            three.speedup
-        );
-    }
-
-    /// Acceptance: the concurrent fan-out must overlap the per-shard
-    /// service waits (concurrent p50 clearly below sequential p50), and the
-    /// hedged client must cut the tail a slow replica inflicts (hedged p99
-    /// below unhedged p99, with hedges actually fired) — every leg fully
-    /// verified. Delays are large relative to scheduler noise so the test
-    /// is robust in debug builds.
-    #[test]
-    fn fanout_overlaps_shard_waits_and_hedges_the_slow_replica() {
-        let config = FanoutConfig {
-            cardinality: 2_000,
-            fanout_queries: 12,
-            hedge_queries: 12,
-            service_delay_micros: 20_000,
-            fast_delay_micros: 2_000,
-            slow_delay_micros: 80_000,
-            hedge_timeout_micros: 10_000,
-            ..FanoutConfig::smoke()
-        };
-        let rows = run_fanout(&config);
-        assert_eq!(rows.len(), 4);
-        assert!(rows.iter().all(|r| r.all_verified), "{rows:?}");
-        let seq = rows.iter().find(|r| r.leg == "sequential").unwrap();
-        let conc = rows.iter().find(|r| r.leg == "concurrent").unwrap();
-        assert!(
-            conc.p50_ms < 0.75 * seq.p50_ms,
-            "concurrent p50 {:.1} ms vs sequential {:.1} ms",
-            conc.p50_ms,
-            seq.p50_ms
-        );
-        let unhedged = rows.iter().find(|r| r.leg == "unhedged").unwrap();
-        let hedged = rows.iter().find(|r| r.leg == "hedged").unwrap();
-        assert_eq!(unhedged.hedges, 0, "{unhedged:?}");
-        assert!(hedged.hedges > 0, "{hedged:?}");
-        assert!(
-            hedged.p99_ms < unhedged.p99_ms,
-            "hedged p99 {:.1} ms vs unhedged {:.1} ms",
-            hedged.p99_ms,
-            unhedged.p99_ms
         );
     }
 

@@ -23,13 +23,10 @@ pub mod experiments;
 pub mod report;
 
 pub use experiments::{
-    run_ablation_memory, run_ablation_scan, run_ablation_updates, run_comparison, run_fanout,
-    run_group_commit, run_replicas, AblationRow, ComparisonRow, ExperimentConfig, FanoutConfig,
-    FanoutRow, GroupCommitConfig, GroupCommitRow, MemoryAblationRow, ReplicaRow, ReplicasConfig,
-    SignatureScheme, UpdateRow,
+    run_ablation_memory, run_ablation_scan, run_ablation_updates, run_comparison, AblationRow,
+    ComparisonRow, ExperimentConfig, MemoryAblationRow, SignatureScheme, UpdateRow,
 };
 pub use report::{
-    print_ablation_memory, print_ablation_scan, print_ablation_updates, print_fanout, print_fig5,
-    print_fig6, print_fig7, print_fig8, print_group_commit, print_replicas, report_to_json,
-    rows_to_json,
+    print_ablation_memory, print_ablation_scan, print_ablation_updates, print_fig5, print_fig6,
+    print_fig7, print_fig8, rows_to_json,
 };

@@ -1,9 +1,6 @@
 //! Pretty-printers that lay the measured rows out like the paper's figures.
 
-use crate::experiments::{
-    AblationRow, ComparisonRow, FanoutRow, GroupCommitRow, MemoryAblationRow, ReplicaRow, UpdateRow,
-};
-use serde::Serialize;
+use crate::experiments::{AblationRow, ComparisonRow, MemoryAblationRow, UpdateRow};
 
 fn header(title: &str) {
     println!();
@@ -155,132 +152,8 @@ pub fn print_ablation_memory(rows: &[MemoryAblationRow]) {
     }
 }
 
-/// Experiment E11: durable write throughput and fsyncs-per-op under each
-/// durability policy, with the post-reopen crash-consistency verdict.
-pub fn print_group_commit(rows: &[GroupCommitRow]) {
-    header("Experiment E11 — group commit: durable write qps + fsyncs/op vs policy");
-    println!(
-        "  {:>15} {:>7} {:>8} {:>6} {:>11} {:>10} {:>10} {:>8} {:>10} {:>9} {:>9}",
-        "policy",
-        "shards",
-        "writers",
-        "ops",
-        "writes/s",
-        "p50 [ms]",
-        "p99 [ms]",
-        "fsyncs",
-        "fsyncs/op",
-        "speedup",
-        "verified"
-    );
-    for r in rows {
-        println!(
-            "  {:>15} {:>7} {:>8} {:>6} {:>11.0} {:>10.2} {:>10.2} {:>8} {:>10.2} {:>8.2}x {:>9}",
-            r.policy,
-            r.shards,
-            r.threads,
-            r.ops,
-            r.writes_per_sec,
-            r.p50_ms,
-            r.p99_ms,
-            r.fsyncs,
-            r.fsyncs_per_op,
-            r.speedup_vs_immediate,
-            if r.all_verified { "all" } else { "NO" }
-        );
-    }
-}
-
-/// Prints the E14 replica table.
-pub fn print_replicas(rows: &[ReplicaRow]) {
-    header("Experiment E14 — trustless read replicas: verified qps vs replica count");
-    println!(
-        "  {:>8} {:>9} {:>7} {:>7} {:>10} {:>9} {:>9} {:>8} {:>9} {:>9} {:>9} {:>5}",
-        "replicas",
-        "endpoints",
-        "threads",
-        "queries",
-        "qps",
-        "p50 ms",
-        "p95 ms",
-        "speedup",
-        "verified",
-        "byzantine",
-        "failovers",
-        "stale"
-    );
-    for r in rows {
-        println!(
-            "  {:>8} {:>9} {:>7} {:>7} {:>10.0} {:>9.3} {:>9.3} {:>7.2}x {:>9} {:>9} {:>9} {:>5}",
-            r.replicas,
-            r.endpoints,
-            r.threads,
-            r.queries,
-            r.qps,
-            r.p50_ms,
-            r.p95_ms,
-            r.speedup,
-            if r.all_verified { "all" } else { "NO" },
-            if r.byzantine_routed_around {
-                "routed"
-            } else {
-                "MISSED"
-            },
-            r.failovers,
-            if r.stale_routed_around {
-                "routed"
-            } else {
-                "MISSED"
-            }
-        );
-    }
-}
-
-/// Prints the E16 fan-out and hedge table.
-pub fn print_fanout(rows: &[FanoutRow]) {
-    header("Experiment E16 — concurrent fan-out and hedged reads: latency by dispatch mode");
-    println!(
-        "  {:>10} {:>6} {:>9} {:>7} {:>9} {:>9} {:>9} {:>9} {:>7} {:>6} {:>9} {:>8}",
-        "leg",
-        "shards",
-        "endpoints",
-        "queries",
-        "mean ms",
-        "p50 ms",
-        "p95 ms",
-        "p99 ms",
-        "ratio",
-        "hedges",
-        "failovers",
-        "verified"
-    );
-    for r in rows {
-        println!(
-            "  {:>10} {:>6} {:>9} {:>7} {:>9.3} {:>9.3} {:>9.3} {:>9.3} {:>6.2}x {:>6} {:>9} {:>8}",
-            r.leg,
-            r.shards,
-            r.endpoints,
-            r.queries,
-            r.mean_ms,
-            r.p50_ms,
-            r.p95_ms,
-            r.p99_ms,
-            r.ratio_vs_baseline,
-            r.hedges,
-            r.failovers,
-            if r.all_verified { "all" } else { "NO" }
-        );
-    }
-}
-
 /// Serializes comparison rows to pretty JSON (for plotting outside Rust).
 pub fn rows_to_json(rows: &[ComparisonRow]) -> String {
-    report_to_json(rows)
-}
-
-/// Serializes any experiment row slice to pretty JSON (for the CI bench
-/// artifacts and plotting outside Rust).
-pub fn report_to_json<T: Serialize>(rows: &[T]) -> String {
     serde_json::to_string_pretty(rows).expect("rows serialize")
 }
 

@@ -22,6 +22,9 @@ fn usage_errors_exit_two() {
         vec!["durability", "--smoke"],
         vec!["wal", "--smoke"],
         vec!["net", "--smoke"],
+        vec!["group-commit", "--smoke"],
+        vec!["replicas", "--smoke"],
+        vec!["fanout", "--smoke"],
     ] {
         let out = Command::new(bin).args(&args).output().expect("binary runs");
         assert_eq!(out.status.code(), Some(2), "args {args:?}: {out:?}");

@@ -353,10 +353,6 @@ pub(crate) struct Durability {
     shards: Vec<ShardFiles>,
     policy: DurabilityPolicy,
     crash: Mutex<Option<CommitCrashPoint>>,
-    /// Simulated barrier latency (µs) mirrored onto the manifest save, so
-    /// the whole deployment models one device (see
-    /// [`FilePager::set_sync_delay_micros`]).
-    sync_delay_micros: std::sync::atomic::AtomicU64,
     /// Log size past which a commit folds a checkpoint in.
     checkpoint_threshold_bytes: std::sync::atomic::AtomicU64,
 }
@@ -745,7 +741,6 @@ impl Durability {
             shards,
             policy,
             crash: Mutex::new(None),
-            sync_delay_micros: std::sync::atomic::AtomicU64::new(0),
             checkpoint_threshold_bytes: std::sync::atomic::AtomicU64::new(
                 DEFAULT_CHECKPOINT_THRESHOLD_BYTES,
             ),
@@ -825,7 +820,6 @@ impl Durability {
                 shards,
                 policy,
                 crash: Mutex::new(None),
-                sync_delay_micros: std::sync::atomic::AtomicU64::new(0),
                 checkpoint_threshold_bytes: std::sync::atomic::AtomicU64::new(
                     DEFAULT_CHECKPOINT_THRESHOLD_BYTES,
                 ),
@@ -849,19 +843,6 @@ impl Durability {
         *self.crash.lock() = point;
     }
 
-    /// Sets a simulated per-fsync latency on every shard's pager files,
-    /// write-ahead logs and the manifest save (see
-    /// [`FilePager::set_sync_delay_micros`]).
-    pub(crate) fn set_sync_delay_micros(&self, micros: u64) {
-        for shard in &self.shards {
-            shard.sp.pager.set_sync_delay_micros(micros);
-            shard.te.pager.set_sync_delay_micros(micros);
-            shard.wal.set_sync_delay_micros(micros);
-        }
-        self.sync_delay_micros
-            .store(micros, std::sync::atomic::Ordering::Relaxed);
-    }
-
     /// Overrides the log-size threshold past which a commit folds a
     /// checkpoint in — tests and benches force frequent (or suppress all)
     /// threshold checkpoints with it.
@@ -873,16 +854,6 @@ impl Durability {
     fn checkpoint_threshold(&self) -> u64 {
         self.checkpoint_threshold_bytes
             .load(std::sync::atomic::Ordering::Relaxed)
-    }
-
-    /// The simulated barrier latency applied after a manifest save.
-    fn manifest_sync_delay(&self) {
-        let micros = self
-            .sync_delay_micros
-            .load(std::sync::atomic::Ordering::Relaxed);
-        if micros > 0 {
-            std::thread::sleep(Duration::from_micros(micros));
-        }
     }
 
     fn crash_check(&self, point: CommitCrashPoint) -> StorageResult<()> {
@@ -1266,7 +1237,6 @@ impl Durability {
             let result = snapshot.save(&self.manifest_path);
             if result.is_ok() {
                 st.saved = st.saved.max(my);
-                self.manifest_sync_delay();
             }
             return result;
         }
@@ -1298,9 +1268,6 @@ impl Durability {
                 armed: true,
             };
             let result = snapshot.save(&self.manifest_path);
-            if result.is_ok() {
-                self.manifest_sync_delay();
-            }
             saver_guard.disarm();
             st = lock_unpoisoned(&self.mstate);
             st.saving = false;

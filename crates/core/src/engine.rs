@@ -1,36 +1,28 @@
-//! The thread-pooled drivers that serve many clients at once.
+//! Serving a batch of queries from many threads at once.
 //!
-//! The concurrent engine is [`ShardedSaeEngine`]: with `n = 1` it is the
-//! paper's single SP/TE pair, each party behind its own `RwLock` (queries
-//! share the read locks, data-owner updates take both write locks, always
-//! SP before TE, and therefore appear atomic to every reader). This module
-//! drives any [`QueryService`] from a pool of worker threads:
-//!
-//! * [`serve_batch`] fans a fixed workload out over N worker threads;
-//! * [`serve_ops`] mixes queries with data-owner writes against a
-//!   [`ShardedSaeEngine`], every worker playing one client that replays its
-//!   own deterministic [`QueryMix`] stream.
-//!
-//! Both aggregate per-thread [`QueryMetrics`] and wall-clock latencies into
-//! a [`ThroughputReport`] (p50/p95/p99 latency, queries per second).
+//! The concurrent engine is [`crate::ShardedSaeEngine`]: with `n = 1` it is
+//! the paper's single SP/TE pair, each party behind its own `RwLock`
+//! (queries share the read locks, data-owner updates take both write locks,
+//! always SP before TE, and therefore appear atomic to every reader).
+//! [`serve_batch`] fans a fixed workload of any [`QueryService`] out over N
+//! worker threads and aggregates per-thread [`QueryMetrics`] and wall-clock
+//! latencies into a [`ThroughputReport`] (p50/p95/p99 latency, queries per
+//! second).
 //!
 //! ## Cost accounting under concurrency
 //!
 //! The shared [`IoStats`] counters are atomic, but a *per-query* delta of a
 //! shared counter is meaningless while other threads are mid-query — the
-//! window would absorb their accesses too. The drivers therefore account node
-//! accesses at batch granularity: counters are snapshotted before the workers
-//! start and after they all join (both quiescent points), which makes the
-//! totals in [`ThroughputReport::party_io`] exact. Per-query fields that are
+//! window would absorb their accesses too. [`serve_batch`] therefore
+//! accounts node accesses at batch granularity: counters are snapshotted
+//! before the workers start and after they all join (both quiescent points),
+//! which makes the totals in [`ThroughputReport::party_io`] exact. Per-query fields that are
 //! attributable to one thread (cardinality, verification outcome and time)
 //! are aggregated per worker as usual.
 
 use crate::metrics::{LatencySummary, QueryMetrics};
-use crate::sharded::ShardedSaeEngine;
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
 use sae_storage::{CostModel, IoSnapshot, IoStats, StorageResult};
-use sae_workload::{QueryMix, RangeQuery, Record};
+use sae_workload::RangeQuery;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -95,21 +87,17 @@ struct WorkerOutcome {
     failed: u64,
 }
 
-/// Runs one worker's `ops` back to back through `op`, timing each one.
-fn run_worker<S: ?Sized, T>(
-    service: &S,
-    ops: &[T],
-    op: impl Fn(&S, &T) -> StorageResult<QueryMetrics>,
-) -> WorkerOutcome {
-    let mut latencies = Vec::with_capacity(ops.len());
+/// Runs one worker's `queries` back to back, timing each one.
+fn run_worker<S: QueryService + ?Sized>(service: &S, queries: &[RangeQuery]) -> WorkerOutcome {
+    let mut latencies = Vec::with_capacity(queries.len());
     let mut totals = QueryMetrics {
         verified: true,
         ..Default::default()
     };
     let mut failed = 0u64;
-    for item in ops {
+    for q in queries {
         let start = Instant::now();
-        match op(service, item) {
+        match service.execute(q) {
             Ok(metrics) => totals.accumulate(&metrics),
             Err(_) => {
                 failed += 1;
@@ -125,57 +113,19 @@ fn run_worker<S: ?Sized, T>(
     }
 }
 
-/// One operation of a mixed read/write client stream (see [`serve_ops`]).
-#[derive(Clone, Debug)]
-pub enum MixOp {
-    /// An authenticated range query, executed through [`QueryService`].
-    Query(RangeQuery),
-    /// A data-owner write: the record is inserted and then deleted again
-    /// through [`ShardedSaeEngine::apply_update`], so the dataset's cardinality
-    /// is unchanged after the batch.
-    Update(Record),
-}
-
-/// The first `count` operations of `client`'s deterministic mixed stream:
-/// each op is a write with probability `write_fraction`, otherwise a query
-/// drawn from `mix`. Written records use `record_size`-byte encodings, keys
-/// sampled from the mix's placement distribution, and ids disjoint from any
-/// dataset generated by [`sae_workload::DatasetSpec`].
-pub fn client_ops(
-    mix: &QueryMix,
-    write_fraction: f64,
-    record_size: usize,
-    base_seed: u64,
-    client: u64,
-    count: usize,
-) -> Vec<MixOp> {
-    let mut coin = StdRng::seed_from_u64(QueryMix::client_seed(base_seed ^ 0x0905, client));
-    let mut queries = mix.stream(QueryMix::client_seed(base_seed, client));
-    (0..count)
-        .map(|i| {
-            if coin.gen::<f64>() < write_fraction {
-                let key = mix.placement.sample(&mut coin);
-                let id = (1u64 << 42) | (client << 24) | i as u64;
-                MixOp::Update(Record::with_size(id, key, record_size))
-            } else {
-                // analyzer:allow(no-unwrap-in-lib, QueryMix::stream is an infinite generator; next() never returns None)
-                MixOp::Query(queries.next().expect("query streams are infinite"))
-            }
-        })
-        .collect()
-}
-
-/// The shared concurrent scaffold of every driver: snapshot the party
-/// counters at a quiescent point, run each entry of `assignments` through
-/// `op` on its own scoped thread, join, and aggregate into a
-/// [`ThroughputReport`].
-fn drive<S, T, F>(service: &S, assignments: Vec<Vec<T>>, op: F) -> ThroughputReport
-where
-    S: QueryService + ?Sized,
-    T: Send + Sync,
-    F: Fn(&S, &T) -> StorageResult<QueryMetrics> + Sync,
-{
-    let threads = assignments.len();
+/// Serves a fixed batch of queries over `threads` workers (queries are
+/// dealt round-robin; zero is clamped to one): snapshot the party counters
+/// at a quiescent point, run each worker's share on its own scoped thread,
+/// join, and aggregate into a [`ThroughputReport`].
+pub fn serve_batch<S: QueryService + ?Sized>(
+    service: &S,
+    queries: &[RangeQuery],
+    threads: usize,
+) -> ThroughputReport {
+    let threads = threads.max(1);
+    let assignments: Vec<Vec<RangeQuery>> = (0..threads)
+        .map(|t| queries.iter().skip(t).step_by(threads).copied().collect())
+        .collect();
     let before: Vec<(&'static str, IoSnapshot)> = service
         .party_stats()
         .iter()
@@ -183,11 +133,10 @@ where
         .collect();
 
     let start = Instant::now();
-    let op = &op;
     let outcomes: Vec<WorkerOutcome> = std::thread::scope(|scope| {
         let handles: Vec<_> = assignments
             .iter()
-            .map(|chunk| scope.spawn(move || run_worker(service, chunk, op)))
+            .map(|chunk| scope.spawn(move || run_worker(service, chunk)))
             .collect();
         handles
             .into_iter()
@@ -229,15 +178,15 @@ where
         totals.te_charged_ms = cost.charge_ms(&te.delta);
     }
 
-    let queries = all_latencies.len() as u64;
+    let served = all_latencies.len() as u64;
     ThroughputReport {
         threads,
-        queries,
+        queries: served,
         failed,
         all_verified: failed == 0 && totals.verified,
         wall_ms,
         queries_per_sec: if wall_ms > 0.0 {
-            queries as f64 * 1000.0 / wall_ms
+            served as f64 * 1000.0 / wall_ms
         } else {
             0.0
         },
@@ -247,61 +196,13 @@ where
     }
 }
 
-/// Serves a fixed batch of queries over `threads` workers (queries are
-/// dealt round-robin; zero is clamped to one) and aggregates the outcome.
-pub fn serve_batch<S: QueryService + ?Sized>(
-    service: &S,
-    queries: &[RangeQuery],
-    threads: usize,
-) -> ThroughputReport {
-    let threads = threads.max(1);
-    let assignments: Vec<Vec<RangeQuery>> = (0..threads)
-        .map(|t| queries.iter().skip(t).step_by(threads).copied().collect())
-        .collect();
-    drive(service, assignments, |service, q| service.execute(q))
-}
-
-/// Closed-loop mixed read/write driver: each of `threads` workers (zero is
-/// clamped to one) plays one client replaying its own deterministic
-/// [`client_ops`] stream — queries through [`QueryService::execute`], writes
-/// through [`ShardedSaeEngine::apply_update`]. `ThroughputReport::queries`
-/// counts *operations* here.
-pub fn serve_ops(
-    service: &ShardedSaeEngine,
-    mix: &QueryMix,
-    write_fraction: f64,
-    record_size: usize,
-    ops_per_client: usize,
-    seed: u64,
-    threads: usize,
-) -> ThroughputReport {
-    let assignments: Vec<Vec<MixOp>> = (0..threads.max(1) as u64)
-        .map(|client| {
-            client_ops(
-                mix,
-                write_fraction,
-                record_size,
-                seed,
-                client,
-                ops_per_client,
-            )
-        })
-        .collect();
-    drive(service, assignments, |service, op| match op {
-        MixOp::Query(q) => service.execute(q),
-        MixOp::Update(record) => service.apply_update(record).map(|()| QueryMetrics {
-            verified: true,
-            ..Default::default()
-        }),
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sae::SaeSystem;
+    use crate::sharded::ShardedSaeEngine;
     use sae_crypto::HashAlgorithm;
-    use sae_workload::{Dataset, DatasetSpec, KeyDistribution};
+    use sae_workload::{Dataset, DatasetSpec, KeyDistribution, QueryMix, Record};
 
     fn dataset(n: usize) -> Dataset {
         DatasetSpec {
@@ -382,26 +283,6 @@ mod tests {
         for party in &b.party_io {
             assert!(party.delta.cache_hits > 0, "{party:?}");
         }
-    }
-
-    #[test]
-    fn closed_loop_mix_driver_runs_distinct_client_streams() {
-        let ds = dataset(2_000);
-        let engine = ShardedSaeEngine::build_cached(&ds, HashAlgorithm::Sha1, 1, 128).unwrap();
-        let mix = QueryMix::uniform(100_000, 0.005);
-        let report = engine.serve_ops(&mix, 0.0, 120, 12, 77, 3);
-        assert_eq!(report.queries, 36);
-        assert!(report.all_verified);
-        // Each client replayed its own stream deterministically.
-        let again = engine.serve_ops(&mix, 0.0, 120, 12, 77, 3);
-        assert_eq!(
-            report.totals.result_cardinality,
-            again.totals.result_cardinality
-        );
-        let streams: Vec<_> = (0..3)
-            .map(|client| format!("{:?}", client_ops(&mix, 0.0, 120, 77, client, 12)))
-            .collect();
-        assert!(streams[0] != streams[1] && streams[1] != streams[2]);
     }
 
     #[test]

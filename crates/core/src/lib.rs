@@ -55,7 +55,7 @@ pub mod tamper;
 pub mod tom;
 
 pub use durable::{CommitCrashPoint, DurabilityPolicy};
-pub use engine::{client_ops, serve_batch, serve_ops, MixOp, QueryService, ThroughputReport};
+pub use engine::{serve_batch, QueryService, ThroughputReport};
 pub use metrics::{LatencySummary, QueryMetrics, StorageBreakdown};
 pub use replica::{ReplicaSet, SnapshotHeader, SNAPSHOT_HEADER_LEN, SNAPSHOT_MAGIC};
 pub use sae::{SaeClient, SaeQueryOutcome, SaeSystem, SaeVerifyError, TrustedEntity};

@@ -44,7 +44,7 @@
 //! deployment provides.
 
 use crate::durable::{CommitCrashPoint, Durability, DurabilityPolicy, ShardStores};
-use crate::engine::{serve_batch, serve_ops, QueryService, ThroughputReport};
+use crate::engine::{serve_batch, QueryService, ThroughputReport};
 use crate::metrics::QueryMetrics;
 use crate::sae::{
     delete_from_parties, insert_into_parties, SaeClient, SaeServiceProvider, SaeVerifyError,
@@ -57,7 +57,7 @@ use sae_storage::{
     CachedPager, CostModel, IoSnapshot, IoStats, MemPager, PageStore, SharedPageStore,
     StorageError, StorageResult,
 };
-use sae_workload::{Dataset, DatasetSpec, QueryMix, RangeQuery, Record, RecordKey};
+use sae_workload::{Dataset, DatasetSpec, RangeQuery, Record, RecordKey};
 use std::collections::HashSet;
 use std::path::Path;
 use std::sync::Arc;
@@ -76,8 +76,8 @@ pub struct ShardLayout {
 impl ShardLayout {
     /// Splits `[0, domain]` into `shards` equal-width ranges (shard `k`
     /// starts at `k * (domain + 1) / shards` — the boundary formula
-    /// [`QueryMix::spanning`] straddles). `shards` is clamped to
-    /// `[1, domain + 1]` so every shard owns at least one key.
+    /// [`sae_workload::QueryMix::spanning`] straddles). `shards` is clamped
+    /// to `[1, domain + 1]` so every shard owns at least one key.
     pub fn uniform(domain: RecordKey, shards: usize) -> ShardLayout {
         let span = domain as u64 + 1;
         let shards = (shards.max(1) as u64).min(span);
@@ -578,16 +578,6 @@ impl ShardedSaeEngine {
         }
     }
 
-    /// Sets a simulated per-fsync latency on every shard's pager files,
-    /// modelling slower production disks on fast CI storage (the E11
-    /// experiment's knob; see `FilePager::set_sync_delay_micros`). A no-op
-    /// on in-memory engines.
-    pub fn set_simulated_sync_delay_micros(&self, micros: u64) {
-        if let Some(d) = &self.durability {
-            d.set_sync_delay_micros(micros);
-        }
-    }
-
     /// Overrides the write-ahead-log size past which a commit folds a
     /// checkpoint in (page flush + header/manifest republication + log
     /// truncation). Tests and benches force frequent — or suppress all —
@@ -684,7 +674,7 @@ impl ShardedSaeEngine {
         }
     }
 
-    /// The ticketed write path shared by `insert`/`delete`/`apply_update`
+    /// The ticketed write path shared by `insert`/`delete`
     /// under `Immediate` *and* `Group`: a ticket is taken while the
     /// caller's write guards are still held (so the next commit is
     /// guaranteed to cover the mutation), the guards are released so the
@@ -747,42 +737,6 @@ impl ShardedSaeEngine {
                 self.group_commit_write(d, shard, shard_idx, sp, te)?;
                 Ok(true)
             }
-        }
-    }
-
-    /// Applies one insert-then-delete round trip of `record` to the shard
-    /// owning its key, atomically with respect to concurrent queries — the
-    /// write op of [`serve_ops`].
-    pub fn apply_update(&self, record: &Record) -> StorageResult<()> {
-        self.claim(record)?;
-        let shard_idx = self.layout.shard_of(record.key);
-        let shard = &self.shards[shard_idx];
-        let mut sp = shard.sp.write();
-        let mut te = shard.te.write();
-        // The round trip is committed once, after its trailing delete: the
-        // committed states bracket the whole round trip, which is exactly
-        // the atomicity the update protocol promises.
-        let round_trip = insert_into_parties(&mut sp, &mut te, record)
-            .and_then(|()| delete_from_parties(&mut sp, &mut te, record.id, record.key));
-        match round_trip {
-            Ok(_) => {
-                // The round trip deleted the record again, so its id can be
-                // released whether or not the commit below succeeds — the
-                // record exists in neither memory nor the committed state.
-                let committed = match &self.durability {
-                    None => Ok(()),
-                    Some(d) => match d.policy() {
-                        DurabilityPolicy::FlushOnClose => Ok(()),
-                        _ => self.group_commit_write(d, shard, shard_idx, sp, te),
-                    },
-                };
-                self.ids.write().remove(&record.id);
-                committed
-            }
-            // The claim is conservatively kept on a round-trip error — the
-            // record may still exist if the trailing delete was the step
-            // that failed.
-            Err(e) => Err(e),
         }
     }
 
@@ -1004,28 +958,6 @@ impl ShardedSaeEngine {
     pub fn serve_batch(&self, queries: &[RangeQuery], threads: usize) -> ThroughputReport {
         serve_batch(self, queries, threads)
     }
-
-    /// Runs the closed-loop mixed read/write driver over `threads` clients
-    /// (see [`serve_ops`]).
-    pub fn serve_ops(
-        &self,
-        mix: &QueryMix,
-        write_fraction: f64,
-        record_size: usize,
-        ops_per_client: usize,
-        seed: u64,
-        threads: usize,
-    ) -> ThroughputReport {
-        serve_ops(
-            self,
-            mix,
-            write_fraction,
-            record_size,
-            ops_per_client,
-            seed,
-            threads,
-        )
-    }
 }
 
 impl QueryService for ShardedSaeEngine {
@@ -1065,7 +997,7 @@ mod tests {
     use super::*;
     use crate::sae::SaeSystem;
     use sae_storage::StorageError;
-    use sae_workload::KeyDistribution;
+    use sae_workload::{KeyDistribution, QueryMix};
     use std::time::Duration;
 
     const DOMAIN: RecordKey = 100_000;
@@ -1495,69 +1427,91 @@ mod tests {
             .sum()
     }
 
+    /// Per shard, the write-ahead-log fsyncs so far (the log counts into
+    /// the shard's SP store).
+    fn log_syncs(engine: &ShardedSaeEngine) -> Vec<u64> {
+        engine
+            .shards
+            .iter()
+            .map(|shard| shard.sp_stats.snapshot().wal_syncs)
+            .collect()
+    }
+
     #[test]
     fn group_policy_batches_commits_into_fewer_fsyncs() {
         let ds = dataset(600);
-        let writers = 4usize;
-        let records: Vec<Record> = (0..writers as u64)
-            .map(|i| Record::with_size(9_500_000 + i, 40_000 + i as RecordKey, 120))
+        let (shards, writers) = (2usize, 4usize);
+        // `writers` fresh records owned by each shard.
+        let records: Vec<Record> = (0..shards * writers)
+            .map(|i| {
+                let key = (i / writers) as RecordKey * 50_000 + 10_000 + i as RecordKey;
+                Record::with_size(9_500_000 + i as u64, key, 120)
+            })
             .collect();
+        let create = |dir: &Path, policy| {
+            ShardedSaeEngine::create_dir_with(
+                dir,
+                &ds,
+                HashAlgorithm::Sha1,
+                shards,
+                Some(256),
+                policy,
+            )
+            .unwrap()
+        };
 
-        // Immediate: every insert pays exactly one log fsync.
+        // Immediate: every insert pays exactly one log fsync and no other.
         let dir = tempfile::tempdir().unwrap();
-        let engine =
-            ShardedSaeEngine::create_dir(dir.path(), &ds, HashAlgorithm::Sha1, 1, Some(256))
-                .unwrap();
-        let before = total_syncs(&engine);
+        let engine = create(dir.path(), DurabilityPolicy::Immediate);
+        for (i, r) in records.iter().enumerate() {
+            assert_eq!(engine.layout().shard_of(r.key), i / writers);
+        }
+        let (before, logs_before) = (total_syncs(&engine), log_syncs(&engine));
         for r in &records {
             engine.insert(r).unwrap();
         }
-        let immediate_syncs = total_syncs(&engine) - before;
-        assert_eq!(immediate_syncs, writers as u64);
+        assert_eq!(total_syncs(&engine) - before, records.len() as u64);
+        let logs: Vec<u64> = log_syncs(&engine)
+            .iter()
+            .zip(&logs_before)
+            .map(|(now, then)| now - then)
+            .collect();
+        assert_eq!(logs, vec![writers as u64; shards]);
         engine.close().unwrap();
 
-        // Group with a generous gather window: four concurrent writers of
-        // the same shard must ride one (or at worst two) batched commits.
+        // Group: the leader gathers until `max_batch` tickets are queued, and
+        // each announce wakes it, so the `writers` concurrent inserts of a
+        // shard ride exactly one commit. The long `max_wait` only bounds a
+        // failure.
+        let policy = DurabilityPolicy::Group {
+            max_batch: writers,
+            max_wait: Duration::from_secs(10),
+        };
         let dir = tempfile::tempdir().unwrap();
-        let engine = ShardedSaeEngine::create_dir_with(
-            dir.path(),
-            &ds,
-            HashAlgorithm::Sha1,
-            1,
-            Some(256),
-            DurabilityPolicy::Group {
-                max_batch: writers,
-                max_wait: Duration::from_millis(500),
-            },
-        )
-        .unwrap();
-        assert_eq!(
-            engine.durability_policy(),
-            Some(DurabilityPolicy::Group {
-                max_batch: writers,
-                max_wait: Duration::from_millis(500),
-            })
-        );
-        let before = total_syncs(&engine);
+        let engine = create(dir.path(), policy);
+        assert_eq!(engine.durability_policy(), Some(policy));
+        let (before, logs_before) = (total_syncs(&engine), log_syncs(&engine));
         std::thread::scope(|scope| {
             for r in &records {
                 let engine = &engine;
                 scope.spawn(move || engine.insert(r).unwrap());
             }
         });
-        let group_syncs = total_syncs(&engine) - before;
-        assert!(
-            group_syncs < immediate_syncs,
-            "group commit did not reduce fsyncs: {group_syncs} vs {immediate_syncs} (immediate)"
-        );
+        let logs: Vec<u64> = log_syncs(&engine)
+            .iter()
+            .zip(&logs_before)
+            .map(|(now, then)| now - then)
+            .collect();
+        assert_eq!(logs, vec![1; shards], "one log fsync per shard");
+        assert_eq!(total_syncs(&engine) - before, shards as u64);
         engine.close().unwrap();
 
         // Every acknowledged write is durable: the reopened deployment
-        // serves all four records, verified.
+        // serves all of them, verified.
         let reopened = ShardedSaeEngine::open_dir(dir.path(), HashAlgorithm::Sha1, None).unwrap();
         for r in &records {
             let outcome = reopened.query(&RangeQuery::new(r.key, r.key)).unwrap();
-            assert!(outcome.verdict.is_ok());
+            assert!(outcome.verdict.is_ok(), "{:?}", outcome.verdict);
             assert!(outcome
                 .slices
                 .iter()

@@ -37,8 +37,7 @@
 //! [`NetClientConfig::hedge_timeout`] set, a sibling is raced after the
 //! window expires and the first valid slice wins, while the loser drains in
 //! the background and returns its connection to the pool. Demoted endpoints
-//! are retried by [`NetClient::probe_health`] (optionally auto-run every
-//! [`NetClientConfig::probe_every`] queries) so a restarted replica
+//! are retried by [`NetClient::probe_health`], so a restarted replica
 //! re-admits itself.
 //!
 //! Freshness is a *heuristic*, not a proof: the advertised epoch is not
@@ -56,7 +55,7 @@ use sae_workload::RangeQuery;
 use std::collections::{HashMap, HashSet};
 use std::net::{TcpStream, ToSocketAddrs};
 use std::sync::{mpsc, Arc};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Timeouts and failover knobs for every connection a [`NetClient`] opens.
 #[derive(Clone, Copy, Debug)]
@@ -74,15 +73,6 @@ pub struct NetClientConfig {
     /// and is *not* demoted for being slow — only for answering badly.
     /// `None` (the default) disables hedging.
     pub hedge_timeout: Option<Duration>,
-    /// Run [`NetClient::probe_health`] automatically every this many
-    /// queries, re-admitting demoted replicas that answer a `Ping` again.
-    /// 0 (the default) disables auto-probing.
-    pub probe_every: usize,
-    /// Fetch shard by shard: send one request and read its answer before
-    /// sending the next, instead of sending every shard's request before
-    /// reading any answer. Off by default; exists as the measured baseline
-    /// for the E16 fan-out experiment and for debugging.
-    pub sequential_fanout: bool,
 }
 
 impl Default for NetClientConfig {
@@ -92,8 +82,6 @@ impl Default for NetClientConfig {
             read_timeout: Duration::from_secs(5),
             write_timeout: Duration::from_secs(5),
             hedge_timeout: None,
-            probe_every: 0,
-            sequential_fanout: false,
         }
     }
 }
@@ -121,7 +109,6 @@ pub struct NetClient {
     /// slices that passed verification, only on the caller thread — fetch
     /// jobs receive the floor by value and never write it back.
     hwm: Vec<u64>,
-    since_probe: usize,
 }
 
 /// State shared between the caller thread, the pool workers of hedged
@@ -253,10 +240,6 @@ pub struct NetQueryOutcome {
     pub bytes_sent: u64,
     /// Response bytes read across all endpoints.
     pub bytes_received: u64,
-    /// Wall-clock time for the scatter-gather-verify round. Housekeeping
-    /// (the periodic [`NetClient::probe_health`] sweep) runs before the
-    /// clock starts, so this measures the query alone.
-    pub elapsed_ms: f64,
 }
 
 impl NetQueryOutcome {
@@ -356,7 +339,6 @@ impl NetClient {
             }),
             workers,
             hwm: vec![0; shards],
-            since_probe: 0,
         })
     }
 
@@ -422,8 +404,7 @@ impl NetClient {
     /// One health sweep (the S1 probe): `Ping` every pooled connection
     /// (discarding dead ones) and fresh-dial every demoted endpoint,
     /// re-admitting those that answer `Pong` again. All pings run
-    /// concurrently on the worker pool. Run it manually after a deployment
-    /// change, or let [`NetClientConfig::probe_every`] schedule it.
+    /// concurrently on the worker pool. Run it after a deployment change.
     pub fn probe_health(&mut self) -> ProbeReport {
         let demoted_now: Vec<String> = self.demoted();
         let mut pooled: Vec<String> = self.shared.pool.lock().keys().cloned().collect();
@@ -479,16 +460,6 @@ impl NetClient {
     /// docs); the stitch and the [`sae_core::verify_slices`] verdict run
     /// here on the caller thread.
     pub fn query(&mut self, q: &RangeQuery) -> NetQueryOutcome {
-        // Housekeeping runs before the clock starts: latency stats measure
-        // the query, not the periodic probe sweep.
-        if self.shared.cfg.probe_every > 0 {
-            self.since_probe += 1;
-            if self.since_probe >= self.shared.cfg.probe_every {
-                self.since_probe = 0;
-                self.probe_health();
-            }
-        }
-        let started = Instant::now();
         let mut counters = QueryCounters::default();
         let jobs: Vec<FetchJob> = self
             .layout
@@ -609,7 +580,6 @@ impl NetClient {
             hedges: counters.hedges,
             bytes_sent: counters.bytes_sent,
             bytes_received: counters.bytes_received,
-            elapsed_ms: started.elapsed().as_secs_f64() * 1e3,
         }
     }
 
@@ -623,18 +593,14 @@ impl NetClient {
     /// reads the answers in slot order, each through the full fetch logic —
     /// classification, one-retry redial, demotion, stale refusal and
     /// failover to untried siblings. A wave that can hedge runs its jobs on
-    /// the worker pool, whose jobs race detached hedge legs. With
-    /// [`NetClientConfig::sequential_fanout`] every wave stays on the caller
-    /// thread and nothing is sent ahead: each job sends one request and
-    /// reads its answer before the next job starts.
+    /// the worker pool, whose jobs race detached hedge legs.
     fn run_jobs(&self, mut jobs: Vec<FetchJob>, counters: &mut QueryCounters) -> Vec<FetchDone> {
         let shared = &self.shared;
         let hedged = shared.cfg.hedge_timeout.is_some()
             && jobs
                 .iter()
                 .any(|job| shared.topology.replicas(job.shard).len() > 1);
-        let sequential = shared.cfg.sequential_fanout;
-        let mut out: Vec<FetchDone> = if hedged && !sequential {
+        let mut out: Vec<FetchDone> = if hedged {
             let (tx, rx) = mpsc::channel();
             let expected = jobs.len();
             for job in jobs {
@@ -651,20 +617,16 @@ impl NetClient {
             }
             out
         } else {
-            // Send phase: unless sequential, write every job's first
-            // request before reading any answer.
-            let opened: Vec<Option<FetchPass<'_>>> = jobs
+            // Send phase: write every job's first request before reading
+            // any answer.
+            let opened: Vec<FetchPass<'_>> = jobs
                 .iter_mut()
-                .map(|job| {
-                    (!sequential).then(|| {
-                        FetchPass::open(shared, job.shard, &job.sub).send_ahead(&mut job.tried)
-                    })
-                })
+                .map(|job| FetchPass::open(shared, job.shard, &job.sub).send_ahead(&mut job.tried))
                 .collect();
             // Receive phase, in slot order.
             jobs.into_iter()
                 .zip(opened)
-                .map(|(job, pass)| fetch_shard(shared, job, pass))
+                .map(|(job, pass)| fetch_shard(shared, job, Some(pass)))
                 .collect()
         };
         out.sort_by_key(|d| d.at);

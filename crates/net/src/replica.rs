@@ -29,7 +29,7 @@ use std::time::Duration;
 /// Tuning knobs for a [`ReplicaServer`].
 #[derive(Clone, Copy, Debug)]
 pub struct ReplicaServerConfig {
-    /// Configuration of the serving front (timeouts, service delay).
+    /// Configuration of the serving front (its socket timeouts).
     pub server: ShardServerConfig,
     /// Bound on establishing the sync connection to the primary.
     pub connect_timeout: Duration,
@@ -214,8 +214,9 @@ impl ReplicaServer {
             .unwrap_or_default()
     }
 
-    /// Arms (or clears) a byzantine behaviour on the serving front — E14
-    /// uses this to prove clients route around a tampering replica.
+    /// Arms (or clears) a byzantine behaviour on the serving front — the
+    /// replication tests use this to prove clients route around a tampering
+    /// replica.
     pub fn set_tamper(&self, tamper: Option<ServerTamper>) {
         if let Some(server) = &self.server {
             server.set_tamper(tamper);

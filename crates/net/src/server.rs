@@ -50,12 +50,6 @@ pub struct ShardServerConfig {
     /// stall one worker thread (never a shard — no tree guard spans a
     /// write).
     pub write_timeout: Duration,
-    /// Artificial per-query service time, applied under a server-wide gate
-    /// so concurrent queries serialize behind it — models a single-endpoint
-    /// saturation point for the E14 replica-scaling and E16 fan-out
-    /// experiments and for `crates/net/tests/fanout.rs`. Zero (the default)
-    /// disables both the delay and the gate.
-    pub service_delay: Duration,
 }
 
 impl Default for ShardServerConfig {
@@ -63,16 +57,15 @@ impl Default for ShardServerConfig {
         ShardServerConfig {
             read_timeout: Duration::from_millis(200),
             write_timeout: Duration::from_secs(5),
-            service_delay: Duration::ZERO,
         }
     }
 }
 
-/// Byzantine behaviours a server can be armed with, for tests and the
-/// E14 tamper legs. Each doctors the response *after* the source
-/// produced it — exactly what a malicious service provider controlling the
-/// wire could do — and each is caught client-side: the first three by token
-/// verification, the last by the client's epoch high-water mark.
+/// Byzantine behaviours a server can be armed with, for tests. Each doctors
+/// the response *after* the source produced it — exactly what a malicious
+/// service provider controlling the wire could do — and each is caught
+/// client-side: the first three by token verification, the last by the
+/// client's epoch high-water mark.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ServerTamper {
     /// Flip one payload byte of the first record: the record still decodes,
@@ -164,10 +157,6 @@ struct Shared {
     stats: NetStats,
     shutdown: AtomicBool,
     tamper: AtomicU8,
-    /// Serializes the artificial `service_delay`, modelling one saturated
-    /// service lane per endpoint. Rank `gate` in `analyzer.toml`; held only
-    /// across the sleep, never across source calls or socket I/O.
-    gate: Mutex<()>,
     /// Live connections: a stream clone (so shutdown can half-close blocked
     /// readers) paired with its worker's join handle. Lock order: `conns` is
     /// the outermost rank in `analyzer.toml` and is never held across
@@ -217,7 +206,6 @@ impl ShardServer {
             stats: NetStats::default(),
             shutdown: AtomicBool::new(false),
             tamper: AtomicU8::new(TAMPER_NONE),
-            gate: Mutex::new(()),
             conns: Mutex::new(Vec::new()),
         });
         let accept_shared = Arc::clone(&shared);
@@ -247,8 +235,8 @@ impl ShardServer {
     }
 
     /// Arms (or clears) a byzantine behaviour on every subsequent slice —
-    /// the E14 tamper legs and the loopback tests use this to prove
-    /// doctored slices are *detected* by client verification (or, for
+    /// the loopback and replication tests use this to prove doctored slices
+    /// are *detected* by client verification (or, for
     /// [`ServerTamper::StaleEpoch`], routed around by the freshness check),
     /// not trusted.
     pub fn set_tamper(&self, tamper: Option<ServerTamper>) {
@@ -493,13 +481,6 @@ fn answer_query(shard: u32, range: &sae_workload::RangeQuery, shared: &Shared) -
     apply_tamper(&mut slice, tamper);
     if tamper == TAMPER_STALE_EPOCH {
         epoch = 0;
-    }
-    if !shared.cfg.service_delay.is_zero() {
-        // Serialize the artificial service time behind the gate — queries
-        // queue exactly as they would behind one saturated endpoint. No
-        // other lock is held here and none is taken under it.
-        let _lane = shared.gate.lock();
-        std::thread::sleep(shared.cfg.service_delay);
     }
     shared.stats.queries.fetch_add(1, Ordering::Relaxed);
     let record_len = slice.records.first().map_or(0, Vec::len);

@@ -134,40 +134,53 @@ fn replicas_catch_up_with_wal_tails() {
 
 #[test]
 fn a_byzantine_replica_is_routed_around() {
-    let dir = tempfile::tempdir().unwrap();
-    let (engine, server) = primary(dir.path(), 2);
-    let honest = replica(&engine, server.local_addr());
-    let byzantine = replica(&engine, server.local_addr());
-    byzantine.set_tamper(Some(ServerTamper::FlipRecordByte));
+    // Beside one honest sibling, then beside three: the reads spread over
+    // every honest replica, and only the byzantine one is demoted.
+    for honest_count in [1, 3] {
+        let dir = tempfile::tempdir().unwrap();
+        let (engine, server) = primary(dir.path(), 2);
+        let honest: Vec<ReplicaServer> = (0..honest_count)
+            .map(|_| replica(&engine, server.local_addr()))
+            .collect();
+        let byzantine = replica(&engine, server.local_addr());
+        byzantine.set_tamper(Some(ServerTamper::FlipRecordByte));
 
-    let endpoints = vec![
-        honest.local_addr().to_string(),
-        byzantine.local_addr().to_string(),
-    ];
-    let mut client = client_over(&engine, uniform_groups(&engine, &endpoints));
-    let full = RangeQuery::new(0, DOMAIN);
-    // The round-robin cursor guarantees the byzantine replica is consulted
-    // within a few queries; every verdict must still come back `Ok` because
-    // the doctored slice fails verification, demotes its source and the
-    // sub-query re-issues to the honest sibling.
-    let mut failovers = 0;
-    for _ in 0..4 {
-        let net = client.query(&full);
-        assert!(net.verdict.is_ok(), "{:?}", net.verdict);
-        assert_eq!(net.record_count(), CARDINALITY);
-        failovers += net.failovers;
+        let endpoints: Vec<String> = honest
+            .iter()
+            .chain([&byzantine])
+            .map(|r| r.local_addr().to_string())
+            .collect();
+        let mut client = client_over(&engine, uniform_groups(&engine, &endpoints));
+        let full = RangeQuery::new(0, DOMAIN);
+        // The round-robin cursor walks every shard's group, so within
+        // `2 × group` queries each replica is asked at least once; every
+        // verdict must still come back `Ok` because the doctored slice fails
+        // verification, demotes its source and the sub-query goes to an
+        // honest sibling instead.
+        let mut failovers = 0;
+        for _ in 0..2 * endpoints.len() {
+            let net = client.query(&full);
+            assert_eq!(net.verdict, Ok(()), "{:?}", net.endpoint_errors);
+            assert_eq!(net.record_count(), CARDINALITY);
+            failovers += net.failovers;
+        }
+        assert!(failovers > 0, "the byzantine replica was never consulted");
+        for r in &honest {
+            assert!(r.stats().queries > 0, "{} served no read", r.local_addr());
+        }
+        assert_eq!(client.demoted(), vec![byzantine.local_addr().to_string()]);
+
+        // Once it behaves again, a health probe re-admits it.
+        byzantine.set_tamper(None);
+        let report = client.probe_health();
+        assert_eq!(report.revived, 1, "{report:?}");
+        assert!(client.demoted().is_empty());
+        for r in honest {
+            r.shutdown();
+        }
+        byzantine.shutdown();
+        server.shutdown();
     }
-    assert!(failovers > 0, "the byzantine replica was never consulted");
-    assert_eq!(client.demoted(), vec![byzantine.local_addr().to_string()]);
-
-    // Once it behaves again, a health probe re-admits it.
-    byzantine.set_tamper(None);
-    let report = client.probe_health();
-    assert_eq!(report.revived, 1, "{report:?}");
-    assert!(client.demoted().is_empty());
-    honest.shutdown();
-    byzantine.shutdown();
-    server.shutdown();
 }
 
 #[test]

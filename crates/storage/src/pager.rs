@@ -147,7 +147,6 @@ pub struct FilePager {
     file: Mutex<File>,
     page_count: AtomicU64,
     stats: Arc<IoStats>,
-    sync_delay_micros: AtomicU64,
 }
 
 impl FilePager {
@@ -163,7 +162,6 @@ impl FilePager {
             file: Mutex::new(file),
             page_count: AtomicU64::new(0),
             stats: IoStats::new_shared(),
-            sync_delay_micros: AtomicU64::new(0),
         })
     }
 
@@ -180,18 +178,7 @@ impl FilePager {
             file: Mutex::new(file),
             page_count: AtomicU64::new(len / PAGE_SIZE as u64),
             stats: IoStats::new_shared(),
-            sync_delay_micros: AtomicU64::new(0),
         })
-    }
-
-    /// Adds a simulated latency to every durability barrier, slept while
-    /// the file lock is held (a real device stalls same-file writers during
-    /// a barrier too). Zero — the default — disables it. This lets
-    /// experiments on fast CI disks measure protocol effects (group commit
-    /// amortizing fsyncs) at production-disk barrier costs; the real
-    /// `fdatasync` is still issued.
-    pub fn set_sync_delay_micros(&self, micros: u64) {
-        self.sync_delay_micros.store(micros, Ordering::Relaxed);
     }
 }
 
@@ -262,10 +249,6 @@ impl PageStore for FilePager {
     fn sync(&self) -> StorageResult<()> {
         let file = self.file.lock();
         file.sync_data()?;
-        let delay = self.sync_delay_micros.load(Ordering::Relaxed);
-        if delay > 0 {
-            std::thread::sleep(std::time::Duration::from_micros(delay));
-        }
         drop(file);
         // Charged only on success, like every other access.
         self.stats.record_sync();

@@ -51,7 +51,6 @@ use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Returns the WAL file name of shard `shard`: `wal-<shard>.log`.
@@ -367,7 +366,6 @@ pub struct WalWriter {
     path: PathBuf,
     wal: Mutex<WalInner>,
     stats: Arc<IoStats>,
-    sync_delay_micros: AtomicU64,
 }
 
 impl WalWriter {
@@ -390,14 +388,7 @@ impl WalWriter {
                 poisoned: None,
             }),
             stats,
-            sync_delay_micros: AtomicU64::new(0),
         })
-    }
-
-    /// Simulated barrier latency: [`WalWriter::sync`] sleeps this long
-    /// after the real fsync, mirroring `FilePager::set_sync_delay_micros`.
-    pub fn set_sync_delay_micros(&self, micros: u64) {
-        self.sync_delay_micros.store(micros, Ordering::Relaxed);
     }
 
     /// Bytes currently in the log file (segment header included); the
@@ -439,10 +430,6 @@ impl WalWriter {
                 ))));
             }
             inner.file.sync_data()?;
-        }
-        let delay = self.sync_delay_micros.load(Ordering::Relaxed);
-        if delay > 0 {
-            std::thread::sleep(std::time::Duration::from_micros(delay));
         }
         self.stats.record_sync();
         self.stats.record_wal_sync();
