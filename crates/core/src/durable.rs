@@ -161,15 +161,6 @@ impl DurabilityPolicy {
             max_wait: Duration::from_micros(500),
         }
     }
-
-    /// Short lower-case label, as reported in experiment rows.
-    pub fn label(&self) -> &'static str {
-        match self {
-            DurabilityPolicy::Immediate => "immediate",
-            DurabilityPolicy::Group { .. } => "group",
-            DurabilityPolicy::FlushOnClose => "flush-on-close",
-        }
-    }
 }
 
 /// Fault-injection points inside the commit pipeline, for the
@@ -1493,9 +1484,6 @@ mod tests {
     #[test]
     fn policy_labels_and_defaults() {
         assert_eq!(DurabilityPolicy::default(), DurabilityPolicy::Immediate);
-        assert_eq!(DurabilityPolicy::Immediate.label(), "immediate");
-        assert_eq!(DurabilityPolicy::group().label(), "group");
-        assert_eq!(DurabilityPolicy::FlushOnClose.label(), "flush-on-close");
         match DurabilityPolicy::group() {
             DurabilityPolicy::Group { max_batch, .. } => assert!(max_batch > 1),
             other => panic!("unexpected {other:?}"),

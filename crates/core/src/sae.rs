@@ -505,11 +505,7 @@ impl SaeClient {
         }
 
         // ---- 2. The cryptographic check: XOR the digests, compare with VT.
-        let mut acc = Digest::ZERO;
-        for record in result_records {
-            acc ^= self.alg.hash(record);
-        }
-        if acc == *vt {
+        if self.alg.fold(result_records) == *vt {
             Ok(())
         } else {
             Err(SaeVerifyError::TokenMismatch)
@@ -736,7 +732,7 @@ pub(crate) fn delete_from_parties(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sae_workload::{DatasetSpec, KeyDistribution};
+    use sae_workload::{DatasetSpec, KeyDistribution, RECORD_HEADER_LEN};
 
     fn small_dataset(n: usize) -> Dataset {
         DatasetSpec {
@@ -886,6 +882,38 @@ mod tests {
         // Plain token mismatch still reported.
         let (verdict, _) = client.verify_detailed(&q, &[a.encode()], &vt_of(&[&a, &b]));
         assert_eq!(verdict, Err(SaeVerifyError::TokenMismatch));
+    }
+
+    /// Every record of an answer is folded, wherever it falls: a lone one, a
+    /// whole group of equal-length records hashed together, or the remainder
+    /// after the last whole group.
+    #[test]
+    fn a_flipped_payload_byte_in_any_record_is_rejected() {
+        let alg = HashAlgorithm::Sha1;
+        let client = SaeClient::with_record_len(alg, 500);
+        let q = RangeQuery::new(0, 1_000);
+        for n in 1..=40u32 {
+            let records: Vec<Vec<u8>> = (1..=n)
+                .map(|i| Record::with_size(u64::from(i), i * 10, 500).encode())
+                .collect();
+            let mut vt = Digest::ZERO;
+            for r in &records {
+                vt ^= alg.hash(r);
+            }
+            let (verdict, _) = client.verify_detailed(&q, &records, &vt);
+            assert_eq!(verdict, Ok(()), "{n} records");
+
+            for i in 0..records.len() {
+                let mut tampered = records.clone();
+                tampered[i][RECORD_HEADER_LEN + i * 7] ^= 0x01;
+                let (verdict, _) = client.verify_detailed(&q, &tampered, &vt);
+                assert_eq!(
+                    verdict,
+                    Err(SaeVerifyError::TokenMismatch),
+                    "{n} records, record {i} flipped"
+                );
+            }
+        }
     }
 
     #[test]

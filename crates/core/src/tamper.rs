@@ -181,9 +181,7 @@ impl TamperStrategy {
                 out
             }
             TamperStrategy::LinearForgery { alg } => {
-                let token = out
-                    .iter()
-                    .fold(Digest::ZERO, |acc, record| acc ^ alg.hash(record));
+                let token = alg.fold(&out);
                 let mut keys: Vec<u32> = (0..FORGERY_CANDIDATES)
                     .map(|_| rng.gen_range(query.lower..=query.upper))
                     .collect();

@@ -10,7 +10,7 @@
 //! FIPS test vectors.
 
 use crate::digest::Digest;
-use crate::sha1::Sha1;
+use crate::sha1::{self, Sha1};
 use crate::sha256::Sha256;
 
 /// The hash functions available to the system.
@@ -30,6 +30,20 @@ impl HashAlgorithm {
         match self {
             HashAlgorithm::Sha1 => Sha1::digest(data),
             HashAlgorithm::Sha256 => Sha256::digest(data),
+        }
+    }
+
+    /// The XOR of the digests of `records`, `hash(r_1) ⊕ … ⊕ hash(r_n)`: the
+    /// client's side of the verification token. SHA-1 hashes sixteen
+    /// equal-length records at a time where the CPU has AVX-512
+    /// ([`sha1`]); the digest is the same as folding
+    /// [`HashAlgorithm::hash`] over them.
+    pub fn fold<R: AsRef<[u8]>>(&self, records: &[R]) -> Digest {
+        match self {
+            HashAlgorithm::Sha1 => sha1::fold(records),
+            HashAlgorithm::Sha256 => records
+                .iter()
+                .fold(Digest::ZERO, |acc, r| acc ^ Sha256::digest(r.as_ref())),
         }
     }
 
@@ -135,6 +149,20 @@ mod tests {
                 alg.hash_concat(parts.iter().copied()),
                 alg.hash(&concatenated)
             );
+        }
+    }
+
+    #[test]
+    fn fold_is_the_xor_of_the_digests() {
+        let records: Vec<Vec<u8>> = (0..40u8).map(|i| vec![i; 100]).collect();
+        for alg in [HashAlgorithm::Sha1, HashAlgorithm::Sha256] {
+            for n in [0, 1, 16, 17, 40] {
+                let mut want = Digest::ZERO;
+                for r in &records[..n] {
+                    want ^= alg.hash(r);
+                }
+                assert_eq!(alg.fold(&records[..n]), want, "{} over {n}", alg.name());
+            }
         }
     }
 

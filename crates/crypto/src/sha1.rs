@@ -15,8 +15,8 @@
 //!   "Intel SHA Extensions", 2013), `sha1rnds4` / `sha1nexte` / `sha1msg1` /
 //!   `sha1msg2` run four rounds and four schedule words per instruction, with
 //!   the state held in vector registers across every whole block of an
-//!   [`Sha1::update`]. It lives in a private module, one of the two places in
-//!   the workspace allowed `unsafe` (`docs/invariants.md`, R6).
+//!   [`Sha1::update`]. It lives in a private module, one of the places in the
+//!   workspace allowed `unsafe` (`docs/invariants.md`, R6).
 //! * **`scalar`** — portable Rust everywhere else: a 16-word rolling message
 //!   schedule and fully unrolled rounds, reading blocks straight from the
 //!   input.
@@ -27,6 +27,23 @@
 //! byte-identical digests: the FIPS vectors, and a test that runs them side by
 //! side over every length up to 1 100 bytes and every split point of a
 //! three-block `update`, pin it.
+//!
+//! A third backend serves only the client's fold,
+//! [`HashAlgorithm::fold`](crate::HashAlgorithm::fold), the XOR of many
+//! records' digests:
+//!
+//! * **`avx512x16`** (the lanes) — on x86-64 CPUs with AVX-512F and
+//!   AVX-512BW, sixteen equal-length records are hashed in lock step, one per
+//!   32-bit lane (message-parallel hashing: Gueron & Krasnov, 2012). One
+//!   SHA-1 stream waits on the latency of its round chain; sixteen
+//!   independent ones fill the vector units. Answers have one fixed record
+//!   length, so a verified scan's records go sixteen at a time. The
+//!   remainder, any group of mixed lengths, and every CPU without AVX-512 take
+//!   the per-record path above. A point query's one or two records never fill
+//!   a group. The lanes produce byte-identical digests: a test runs them
+//!   against the scalar backend at every length up to 1 100 bytes, over
+//!   counts 0 to 40, on a group of mixed lengths, and with the short FIPS
+//!   vectors in every lane.
 
 use crate::block::{Block, BlockBuffer};
 use crate::digest::{Digest, DIGEST_LEN};
@@ -34,6 +51,9 @@ use crate::digest::{Digest, DIGEST_LEN};
 #[cfg(target_arch = "x86_64")]
 #[allow(unsafe_code)]
 mod ni;
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod x16;
 
 const H0: [u32; 5] = [0x67452301, 0xEFCDAB89, 0x98BADCFE, 0x10325476, 0xC3D2E1F0];
 
@@ -86,12 +106,52 @@ impl Sha1 {
     fn finalize_with(self, mut compress: impl FnMut(&mut [u32; 5], &[Block])) -> Digest {
         let mut state = self.state;
         self.block.finalize(|blocks| compress(&mut state, blocks));
-        let mut out = [0u8; DIGEST_LEN];
-        for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
-            bytes.copy_from_slice(&word.to_be_bytes());
-        }
-        Digest::new(out)
+        to_digest(state)
     }
+}
+
+/// The digest a final state spells, each word big-endian.
+fn to_digest(state: [u32; 5]) -> Digest {
+    let mut out = [0u8; DIGEST_LEN];
+    for (bytes, word) in out.chunks_exact_mut(4).zip(state) {
+        bytes.copy_from_slice(&word.to_be_bytes());
+    }
+    Digest::new(out)
+}
+
+/// The XOR of the SHA-1 digests of `records`. Where the CPU has AVX-512,
+/// each run of sixteen equal-length records is hashed in lock step; the rest
+/// are hashed one at a time. The result is the same either way.
+pub(crate) fn fold<R: AsRef<[u8]>>(records: &[R]) -> Digest {
+    #[cfg(target_arch = "x86_64")]
+    if let Some(lanes) = x16::Avx512::detect() {
+        return fold_lanes(records, lanes);
+    }
+    fold_each(records)
+}
+
+/// [`fold`] one record at a time.
+fn fold_each<R: AsRef<[u8]>>(records: &[R]) -> Digest {
+    records
+        .iter()
+        .fold(Digest::ZERO, |acc, r| acc ^ Sha1::digest(r.as_ref()))
+}
+
+/// [`fold`] sixteen records at a time, falling back to [`fold_each`] for the
+/// remainder and for any group of mixed lengths.
+#[cfg(target_arch = "x86_64")]
+fn fold_lanes<R: AsRef<[u8]>>(records: &[R], lanes: x16::Avx512) -> Digest {
+    let groups = records.chunks_exact(x16::LANES);
+    let mut acc = fold_each(groups.remainder());
+    for group in groups {
+        acc ^= match lanes.hash(&std::array::from_fn(|l| group[l].as_ref())) {
+            // XOR commutes with the big-endian spelling, so the lanes' words
+            // are folded before they become bytes.
+            Some(states) => to_digest(states.map(|words| words.iter().fold(0, |x, w| x ^ w))),
+            None => fold_each(group),
+        };
+    }
+    acc
 }
 
 /// The block-function backend this process uses: `"sha-ni"` on an x86-64 CPU
@@ -282,6 +342,19 @@ mod tests {
         h.finalize_with(compress)
     }
 
+    /// `n` bytes of xorshift64 output.
+    fn seeded_bytes(n: usize) -> Vec<u8> {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect()
+    }
+
     type Compress = Box<dyn Fn(&mut [u32; 5], &[Block])>;
 
     /// Every backend this CPU can run, by name, scalar first.
@@ -321,16 +394,8 @@ mod tests {
             }
         }
 
-        // A seeded buffer (xorshift64), every length from 0 to 1100 bytes.
-        let mut x = 0x9E37_79B9_7F4A_7C15u64;
-        let data: Vec<u8> = (0..1100)
-            .map(|_| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                x ^= x << 17;
-                x as u8
-            })
-            .collect();
+        // A seeded buffer, every length from 0 to 1100 bytes.
+        let data = seeded_bytes(1100);
         let (_, scalar) = &backends[0];
         for len in 0..=data.len() {
             let want = digest_on(&[&data[..len]], scalar);
@@ -355,6 +420,120 @@ mod tests {
                     want,
                     "{name}, cut {cut}"
                 );
+            }
+        }
+    }
+
+    /// The fold one record at a time on the scalar backend: the reference
+    /// the lanes are held to.
+    #[cfg(target_arch = "x86_64")]
+    fn scalar_fold(records: &[&[u8]]) -> Digest {
+        records.iter().fold(Digest::ZERO, |acc, r| {
+            acc ^ digest_on(&[r], compress_scalar)
+        })
+    }
+
+    /// Each lane's digest from the lanes' final states.
+    #[cfg(target_arch = "x86_64")]
+    fn lane_digests(states: x16::States) -> [Digest; x16::LANES] {
+        std::array::from_fn(|l| to_digest(states.map(|words| words[l])))
+    }
+
+    #[test]
+    fn the_lanes_match_the_scalar_backend() {
+        #[cfg(target_arch = "x86_64")]
+        if let Some(lanes) = x16::Avx512::detect() {
+            println!("SHA-1 lanes tested: avx512x16");
+            check_lanes(lanes);
+            return;
+        }
+        println!("lanes leg skipped: this CPU does not report AVX-512F and AVX-512BW");
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    fn check_lanes(lanes: x16::Avx512) {
+        // Forty-one distinct messages of every length up to 1100 bytes, each
+        // starting 7 bytes after the last.
+        let data = seeded_bytes(1100 + 40 * 7);
+        let msgs = |n: usize, len: usize| -> Vec<&[u8]> {
+            (0..n).map(|i| &data[i * 7..i * 7 + len]).collect()
+        };
+
+        // Every lane of one group, and a group plus one, at every length:
+        // empty, one tail block or two (55/56 B), whole blocks (64 B), and
+        // several blocks before the tail.
+        for len in 0..=1100 {
+            let group = msgs(17, len);
+            let want: Vec<Digest> = group
+                .iter()
+                .map(|m| digest_on(&[m], compress_scalar))
+                .collect();
+            let sixteen = std::array::from_fn(|l| group[l]);
+            let got = lane_digests(lanes.hash(&sixteen).unwrap());
+            assert_eq!(got[..], want[..16], "length {len}");
+            assert_eq!(
+                fold_lanes(&group[..16], lanes),
+                scalar_fold(&group[..16]),
+                "16 x {len}"
+            );
+            assert_eq!(fold_lanes(&group, lanes), scalar_fold(&group), "17 x {len}");
+        }
+
+        // Empty input, remainders, and several whole groups.
+        for len in [0, 55, 56, 64, 119, 120, 500, 1000] {
+            for n in 0..=40 {
+                let records = msgs(n, len);
+                assert_eq!(
+                    fold_lanes(&records, lanes),
+                    scalar_fold(&records),
+                    "{n} x {len}"
+                );
+                assert_eq!(fold(&records), scalar_fold(&records), "{n} x {len}");
+            }
+        }
+
+        // One lane a byte shorter: the group falls back and still agrees.
+        for odd in [0, 7, 15] {
+            let mut records = msgs(16, 500);
+            records[odd] = &records[odd][..499];
+            let sixteen = std::array::from_fn(|l| records[l]);
+            assert!(lanes.hash(&sixteen).is_none(), "lane {odd}");
+            assert_eq!(
+                fold_lanes(&records, lanes),
+                scalar_fold(&records),
+                "lane {odd}"
+            );
+        }
+
+        // The short FIPS vectors in every lane, beside other messages of
+        // the same length.
+        let fips: [(&[u8], &str); 3] = [
+            (b"", "da39a3ee5e6b4b0d3255bfef95601890afd80709"),
+            (b"abc", "a9993e364706816aba3e25717850c26c9cd0d89d"),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "84983e441c3bd26ebaae4aa1f95129e5e54670f1",
+            ),
+        ];
+        for (msg, want) in fips {
+            let others = msgs(16, msg.len());
+            for lane in 0..x16::LANES {
+                let mut group: [&[u8]; x16::LANES] = std::array::from_fn(|l| others[l]);
+                group[lane] = msg;
+                let got = lane_digests(lanes.hash(&group).unwrap());
+                for (l, digest) in got.iter().enumerate() {
+                    let want = if l == lane {
+                        Digest::from_hex(want).unwrap()
+                    } else {
+                        digest_on(&[others[l]], compress_scalar)
+                    };
+                    assert_eq!(
+                        *digest,
+                        want,
+                        "vector of {} B in lane {lane}, lane {l}",
+                        msg.len()
+                    );
+                }
             }
         }
     }

@@ -7,8 +7,9 @@
 //! `sha1msg1`/`sha1msg2` extend the message schedule four words at a time.
 //! The state stays in two vector registers across a whole run of blocks.
 //!
-//! This module and `crc32/clmul.rs` in `sae-storage` are the only ones in the
-//! workspace allowed `unsafe` (`analyzer.toml` lists both): the compressor
+//! This module, `x16.rs` beside it and `crc32/clmul.rs` in `sae-storage` are
+//! the only ones in the workspace allowed `unsafe` (`analyzer.toml` lists
+//! them): the compressor
 //! is a `#[target_feature]` function, which is only sound to call on a CPU
 //! that has those features, and vector loads take raw pointers. [`ShaNi`] is
 //! the proof of the first, so callers outside this module stay safe.

@@ -9,8 +9,9 @@
 //! time, the 128 bits reduce to 64, and a Barrett reduction leaves the 32-bit
 //! register. The CRC is bit-reflected, so every constant is too.
 //!
-//! This module and `sha1/ni.rs` in `sae-crypto` are the only ones in the
-//! workspace allowed `unsafe` (`analyzer.toml` lists both): the fold is a
+//! This module and `sha1/ni.rs` and `sha1/x16.rs` in `sae-crypto` are the only
+//! ones in the workspace allowed `unsafe` (`analyzer.toml` lists them): the
+//! fold is a
 //! `#[target_feature]` function,
 //! which is only sound to call on a CPU that has those features, and vector
 //! loads take raw pointers. [`Pclmul`] is the proof of the first, so callers
