@@ -249,7 +249,7 @@ impl<A: Augment> AugTree<A> {
 
     /// Reads and decodes one node (one counted node access).
     pub fn read_node(&self, id: PageId) -> StorageResult<AugNode> {
-        Ok(AugNode::from_page(&self.store.read(id)?))
+        AugNode::from_page(&self.store.read(id)?)
     }
 
     fn write_node(&self, id: PageId, node: &AugNode) -> StorageResult<()> {

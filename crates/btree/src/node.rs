@@ -19,7 +19,7 @@
 //! naturally rather than being hard-coded.
 
 use sae_crypto::{Digest, DIGEST_LEN};
-use sae_storage::{Page, PageId, PAGE_SIZE};
+use sae_storage::{Page, PageId, StorageError, StorageResult, PAGE_SIZE};
 use sae_workload::RecordKey;
 
 /// Byte offset where entries begin.
@@ -53,14 +53,31 @@ fn write_header(page: &mut Page, kind: NodeKind, count: usize, link: PageId) {
     page.write_page_id(4, link);
 }
 
-/// Reads the header written by [`write_header`].
-fn read_header(page: &Page) -> (NodeKind, usize, PageId) {
-    let kind = if page.read_u8(0) == 0 {
-        NodeKind::Leaf
-    } else {
-        NodeKind::Internal
+/// Reads the header written by [`write_header`]. A page is input like any
+/// other, so a kind byte other than 0 (leaf) or 1 (internal), or an entry
+/// count above `capacity` for the kind, is a typed corruption error rather
+/// than a misread node or a panic.
+fn read_header(
+    page: &Page,
+    capacity: impl Fn(NodeKind) -> usize,
+) -> StorageResult<(NodeKind, usize, PageId)> {
+    let kind = match page.read_u8(0) {
+        0 => NodeKind::Leaf,
+        1 => NodeKind::Internal,
+        other => {
+            return Err(StorageError::Corrupted(format!(
+                "node page kind byte {other} is neither leaf (0) nor internal (1)"
+            )))
+        }
     };
-    (kind, page.read_u16(2) as usize, page.read_page_id(4))
+    let count = page.read_u16(2) as usize;
+    let max = capacity(kind);
+    if count > max {
+        return Err(StorageError::Corrupted(format!(
+            "{kind:?} node page claims {count} entries, more than its capacity of {max}"
+        )));
+    }
+    Ok((kind, count, page.read_page_id(4)))
 }
 
 /// An in-memory, decoded B⁺-Tree node.
@@ -186,9 +203,13 @@ impl BTreeNode {
         page
     }
 
-    /// Decodes a node from a page.
-    pub fn from_page(page: &Page) -> Self {
-        let (kind, count, link) = read_header(page);
+    /// Decodes a node from a page; a malformed header is
+    /// [`StorageError::Corrupted`].
+    pub fn from_page(page: &Page) -> StorageResult<Self> {
+        let (kind, count, link) = read_header(page, |kind| match kind {
+            NodeKind::Leaf => LEAF_CAPACITY,
+            NodeKind::Internal => INTERNAL_CAPACITY,
+        })?;
         let mut off = HEADER_LEN;
         match kind {
             NodeKind::Leaf => {
@@ -197,11 +218,11 @@ impl BTreeNode {
                     leaf_entries.push((page.read_u32(off), page.read_u64(off + 4)));
                     off += SEP_ENTRY_LEN;
                 }
-                BTreeNode {
+                Ok(BTreeNode {
                     next_leaf: link,
                     leaf_entries,
                     ..BTreeNode::new_leaf()
-                }
+                })
             }
             NodeKind::Internal => {
                 let mut internal_entries = Vec::with_capacity(count);
@@ -209,10 +230,10 @@ impl BTreeNode {
                     internal_entries.push((page.read_u32(off), page.read_page_id(off + 4)));
                     off += SEP_ENTRY_LEN;
                 }
-                BTreeNode {
+                Ok(BTreeNode {
                     internal_entries,
                     ..BTreeNode::new_internal(link)
-                }
+                })
             }
         }
     }
@@ -298,26 +319,27 @@ impl AugNode {
         page
     }
 
-    /// Decodes a node from a page.
-    pub fn from_page(page: &Page) -> Self {
-        let (kind, count, next_leaf) = read_header(page);
+    /// Decodes a node from a page; a malformed header is
+    /// [`StorageError::Corrupted`].
+    pub fn from_page(page: &Page) -> StorageResult<Self> {
+        let (kind, count, next_leaf) = read_header(page, |_| AUG_CAPACITY)?;
         let mut entries = Vec::with_capacity(count);
         let mut off = HEADER_LEN;
         for _ in 0..count {
+            let mut digest = [0u8; DIGEST_LEN];
+            digest.copy_from_slice(page.read_bytes(off + 12, DIGEST_LEN));
             entries.push(AugEntry {
                 key: page.read_u32(off),
                 ptr: page.read_u64(off + 4),
-                digest: Digest::from_slice(page.read_bytes(off + 12, DIGEST_LEN))
-                    // analyzer:allow(no-unwrap-in-lib, read_bytes returns exactly DIGEST_LEN bytes so from_slice cannot fail)
-                    .expect("digest length is fixed"),
+                digest: Digest::new(digest),
             });
             off += AUG_ENTRY_LEN;
         }
-        AugNode {
+        Ok(AugNode {
             kind,
             next_leaf,
             entries,
-        }
+        })
     }
 }
 
@@ -341,7 +363,7 @@ mod tests {
         for i in 0..10u64 {
             node.leaf_entries.push((i as u32 * 3, i + 100));
         }
-        let decoded = BTreeNode::from_page(&node.to_page());
+        let decoded = BTreeNode::from_page(&node.to_page()).unwrap();
         assert_eq!(decoded, node);
     }
 
@@ -351,7 +373,7 @@ mod tests {
         for i in 0..20u64 {
             node.internal_entries.push((i as u32 * 10, PageId(i + 6)));
         }
-        let decoded = BTreeNode::from_page(&node.to_page());
+        let decoded = BTreeNode::from_page(&node.to_page()).unwrap();
         assert_eq!(decoded, node);
         assert_eq!(decoded.children().len(), 21);
         assert_eq!(decoded.child_at(0), PageId(5));
@@ -365,7 +387,7 @@ mod tests {
             node.leaf_entries.push((i as u32, i));
         }
         assert!(node.is_full());
-        let decoded = BTreeNode::from_page(&node.to_page());
+        let decoded = BTreeNode::from_page(&node.to_page()).unwrap();
         assert_eq!(decoded.leaf_entries.len(), LEAF_CAPACITY);
         assert_eq!(decoded, node);
     }
@@ -405,6 +427,8 @@ mod tests {
     // ------------------------------------------------ min-key layout
 
     use crate::aug::{Augment, MerkleHash, XorFold};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
     use sae_crypto::HashAlgorithm;
 
     fn d(tag: u8) -> Digest {
@@ -440,13 +464,13 @@ mod tests {
     fn round_trips_for_both_kinds() {
         let mut leaf = aug_node(NodeKind::Leaf, &[(0, 0, 0), (2, 1, 1), (4, 2, 2)]);
         leaf.next_leaf = PageId(3);
-        assert_eq!(AugNode::from_page(&leaf.to_page()), leaf);
+        assert_eq!(AugNode::from_page(&leaf.to_page()).unwrap(), leaf);
 
         let internal = aug_node(
             NodeKind::Internal,
             &[(0, 10, 0xF0), (100, 11, 0xF1), (200, 12, 0xF2)],
         );
-        let decoded = AugNode::from_page(&internal.to_page());
+        let decoded = AugNode::from_page(&internal.to_page()).unwrap();
         assert_eq!(decoded, internal);
         assert!(decoded.next_leaf.is_invalid());
         assert_eq!(decoded.entries[2].child(), PageId(12));
@@ -459,7 +483,7 @@ mod tests {
             .collect();
         for kind in [NodeKind::Leaf, NodeKind::Internal] {
             let node = aug_node(kind, &entries);
-            assert_eq!(AugNode::from_page(&node.to_page()), node);
+            assert_eq!(AugNode::from_page(&node.to_page()).unwrap(), node);
         }
     }
 
@@ -469,7 +493,7 @@ mod tests {
             NodeKind::Internal,
             &[(10, 0, 0), (20, 1, 1), (20, 2, 2), (30, 3, 3)],
         );
-        assert_eq!(AugNode::from_page(&node.to_page()), node);
+        assert_eq!(AugNode::from_page(&node.to_page()).unwrap(), node);
         // Insert descent: the last child whose minimum is <= the key.
         assert_eq!(node.child_index_for_insert(5), 0);
         assert_eq!(node.child_index_for_insert(20), 2);
@@ -529,5 +553,116 @@ mod tests {
         let mut c = a.clone();
         c.entries[0].digest = d(9);
         assert_ne!(merkle.summarize(&a.entries), merkle.summarize(&c.entries));
+    }
+
+    // ------------------------------------------------ hostile pages
+
+    /// Both decoders on one page: a typed corruption error, or a node whose
+    /// re-encoding decodes to itself. Returns how many decoders accepted.
+    fn decode_both(page: &Page) -> usize {
+        let mut accepted = 0;
+        match BTreeNode::from_page(page) {
+            Ok(node) => {
+                assert_eq!(BTreeNode::from_page(&node.to_page()).unwrap(), node);
+                accepted += 1;
+            }
+            Err(e) => assert!(matches!(e, StorageError::Corrupted(_)), "{e:?}"),
+        }
+        match AugNode::from_page(page) {
+            Ok(node) => {
+                assert_eq!(AugNode::from_page(&node.to_page()).unwrap(), node);
+                accepted += 1;
+            }
+            Err(e) => assert!(matches!(e, StorageError::Corrupted(_)), "{e:?}"),
+        }
+        accepted
+    }
+
+    #[test]
+    fn header_fields_at_their_extremes_decode_or_fail_typed() {
+        let mut rng = StdRng::seed_from_u64(19);
+        for kind in [0u8, 1, 2, 0x7F, 0xFF] {
+            for pad in [0u8, 0xFF] {
+                for count in [0u16, 1, 127, 128, 340, 341, 0x7FFF, 0xFFFF] {
+                    for link in [0u64, 1, u64::MAX - 1, u64::MAX] {
+                        let mut page = Page::new();
+                        for b in page.as_mut_slice().iter_mut() {
+                            *b = rng.gen();
+                        }
+                        page.write_u8(0, kind);
+                        page.write_u8(1, pad);
+                        page.write_u16(2, count);
+                        page.write_u64(4, link);
+                        let accepted = decode_both(&page);
+                        // Exactly the kinds 0/1 within each layout's capacity
+                        // decode.
+                        let btree_ok = kind <= 1 && usize::from(count) <= LEAF_CAPACITY;
+                        let aug_ok = kind <= 1 && usize::from(count) <= AUG_CAPACITY;
+                        assert_eq!(
+                            accepted,
+                            usize::from(btree_ok) + usize::from(aug_ok),
+                            "kind {kind} count {count}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn random_and_bit_flipped_pages_never_panic_either_decoder() {
+        let mut rng = StdRng::seed_from_u64(0xDEC0DE);
+        let mut accepted = 0;
+        for case in 0..10_000u32 {
+            let page = if case % 2 == 0 {
+                // Random bytes, with a plausible header half the time so the
+                // entry loops run too.
+                let mut page = Page::new();
+                for b in page.as_mut_slice().iter_mut() {
+                    *b = rng.gen();
+                }
+                if rng.gen_bool(0.5) {
+                    page.write_u8(0, rng.gen_range(0u8..2));
+                    page.write_u16(2, rng.gen_range(0u16..(LEAF_CAPACITY as u16 + 4)));
+                }
+                page
+            } else {
+                // A valid node of either layout with up to eight bits flipped.
+                let kind = if rng.gen_bool(0.5) {
+                    NodeKind::Leaf
+                } else {
+                    NodeKind::Internal
+                };
+                let mut page = if rng.gen_bool(0.5) {
+                    let mut node = AugNode::new(kind);
+                    for _ in 0..rng.gen_range(0..=AUG_CAPACITY) {
+                        node.entries.push(AugEntry {
+                            key: rng.gen(),
+                            ptr: rng.gen(),
+                            digest: d(rng.gen()),
+                        });
+                    }
+                    node.to_page()
+                } else {
+                    let mut node = BTreeNode::new_internal(PageId(rng.gen()));
+                    node.kind = kind;
+                    for _ in 0..rng.gen_range(0..=LEAF_CAPACITY) {
+                        node.leaf_entries.push((rng.gen(), rng.gen()));
+                        node.internal_entries.push((rng.gen(), PageId(rng.gen())));
+                    }
+                    node.to_page()
+                };
+                for _ in 0..rng.gen_range(1u32..=8) {
+                    let bit = rng.gen_range(0..PAGE_SIZE * 8);
+                    let byte = page.read_u8(bit / 8) ^ (1 << (bit % 8));
+                    page.write_u8(bit / 8, byte);
+                }
+                page
+            };
+            accepted += decode_both(&page);
+        }
+        // Both outcomes were exercised.
+        assert!(accepted > 1_000, "{accepted}");
+        assert!(accepted < 20_000, "{accepted}");
     }
 }

@@ -188,7 +188,7 @@ impl BPlusTree {
     }
 
     fn read_node(&self, id: PageId) -> StorageResult<BTreeNode> {
-        Ok(BTreeNode::from_page(&self.store.read(id)?))
+        BTreeNode::from_page(&self.store.read(id)?)
     }
 
     fn write_node(&self, id: PageId, node: &BTreeNode) -> StorageResult<()> {

@@ -38,6 +38,13 @@
 //! overwrite a committed page in the files — between checkpoints the files
 //! plus the log always reconstruct every acknowledged commit.
 //!
+//! Creation is not logged: a bulk load dirties every page, and logging it
+//! would write the whole database twice. Each freshly built shard is
+//! checkpointed straight to its page files at epoch 1 (headers synced, log
+//! cut to an empty segment), and one manifest save covering every shard is
+//! the creation's commit point. Before it the directory has no `MANIFEST`,
+//! so a killed creation leaves nothing `open` accepts, and may be re-run.
+//!
 //! ## Recovery
 //!
 //! `Durability::open` loads the manifest, then replays each shard's log:
@@ -638,11 +645,60 @@ fn recover_shard(dir: &Path, i: usize, manifest_meta: &ShardMeta) -> StorageResu
     })
 }
 
+/// Shard `upper`'s meta at `epoch`: the trees' roots and shapes, the heap
+/// geometry and the TE digest the next reopen is verified against.
+fn shard_meta(
+    upper: u32,
+    epoch: u64,
+    heap_dir: &PageDirectory,
+    sp: &SaeServiceProvider,
+    te: &TrustedEntity,
+) -> StorageResult<ShardMeta> {
+    Ok(ShardMeta {
+        upper,
+        epoch,
+        sp_index: sp.index().meta(),
+        heap_record_count: sp.heap().record_count(),
+        heap_page_count: sp.heap().pages().len() as u64,
+        heap_dir_head: heap_dir.head(),
+        te_tree: te.tree().meta(),
+        te_digest: *te.tree().total_xor()?.as_bytes(),
+    })
+}
+
+/// Puts shard `i`'s meta into the in-memory manifest.
+fn set_manifest_slot(manifest: &mut Manifest, i: usize, meta: ShardMeta) -> StorageResult<()> {
+    let slot = manifest.shards.get_mut(i).ok_or_else(|| {
+        StorageError::Io(std::io::Error::other(format!(
+            "manifest has no slot for shard {i}"
+        )))
+    })?;
+    *slot = meta;
+    Ok(())
+}
+
+/// Rewrites both of shard `i`'s identity headers at `epoch`, each followed
+/// by its file's durability barrier. The caches must already be flushed:
+/// the header is what says the file holds that epoch's pages.
+fn publish_headers(shard: &ShardFiles, i: usize, epoch: u64) -> StorageResult<()> {
+    for (files, party) in [(&shard.sp, Party::Sp), (&shard.te, Party::Te)] {
+        let header = ShardHeader {
+            shard: i as u32,
+            party,
+            epoch,
+        };
+        files.pager.write(SHARD_HEADER_PAGE, &header.encode())?;
+        files.sync()?;
+    }
+    Ok(())
+}
+
 impl Durability {
     /// Creates the deployment directory layout for a fresh deployment:
     /// per-shard pager files with identity headers, empty heap page
     /// directories and fresh log segments, plus an in-memory manifest that
-    /// the first [`Durability::commit_shard`] calls will fill and persist.
+    /// [`Durability::checkpoint_created_shard`] fills once the trees are
+    /// built and [`Durability::commit_creation`] persists.
     pub(crate) fn create(
         dir: &Path,
         uppers: &[u32],
@@ -1070,16 +1126,7 @@ impl Durability {
             let logged = state.logged_heap_len.min(heap_pages.len());
             let new_heap = heap_pages.get(logged..).unwrap_or(&[]);
 
-            let meta = ShardMeta {
-                upper: shard.upper,
-                epoch,
-                sp_index: sp.index().meta(),
-                heap_record_count: sp.heap().record_count(),
-                heap_page_count: heap_pages.len() as u64,
-                heap_dir_head: state.heap_dir.head(),
-                te_tree: te.tree().meta(),
-                te_digest: *te.tree().total_xor()?.as_bytes(),
-            };
+            let meta = shard_meta(shard.upper, epoch, &state.heap_dir, sp, te)?;
 
             // 3. Log before pages: the whole transaction is appended (not
             //    yet synced) before any page file is touched.
@@ -1187,18 +1234,53 @@ impl Durability {
         shard.wal.sync()?;
         shard.sp.flush()?;
         shard.te.flush()?;
-        for (files, party) in [(&shard.sp, Party::Sp), (&shard.te, Party::Te)] {
-            let header = ShardHeader {
-                shard: i as u32,
-                party,
-                epoch: meta.epoch,
-            };
-            files.pager.write(SHARD_HEADER_PAGE, &header.encode())?;
-            files.sync()?;
-        }
+        publish_headers(shard, i, meta.epoch)?;
         self.publish_manifest(i, meta.clone())?;
         shard.wal.rotate(meta.epoch)?;
         Ok(())
+    }
+
+    /// Creation's own checkpoint for shard `i`, run on the freshly built
+    /// SP and TE before the deployment puts them under its locks. The bulk
+    /// load is not logged: its pages go straight from the no-steal caches
+    /// to the page files, both identity headers are republished at epoch 1
+    /// with a barrier each, and the log is cut to a fresh segment at that
+    /// epoch. The shard's meta enters the in-memory manifest only; nothing
+    /// is committed until [`Durability::commit_creation`] saves it. Until
+    /// then the directory has no `MANIFEST`, so a creation killed half-way
+    /// leaves no deployment — reopening refuses it, and creating again over
+    /// it is allowed.
+    pub(crate) fn checkpoint_created_shard(
+        &self,
+        i: usize,
+        sp: &SaeServiceProvider,
+        te: &TrustedEntity,
+    ) -> StorageResult<()> {
+        const EPOCH: u64 = 1;
+        let shard = self.shard(i);
+        let mut state = shard.state.lock();
+        let heap_pages = sp.heap().pages();
+        state.heap_dir.write(shard.sp.store.as_ref(), heap_pages)?;
+        shard.sp.cache.clear_write_set();
+        shard.te.cache.clear_write_set();
+        shard.sp.flush()?;
+        shard.te.flush()?;
+        publish_headers(shard, i, EPOCH)?;
+        shard.wal.rotate(EPOCH)?;
+        let meta = shard_meta(shard.upper, EPOCH, &state.heap_dir, sp, te)?;
+        state.epoch = EPOCH;
+        state.logged_heap_len = heap_pages.len();
+        set_manifest_slot(&mut lock_unpoisoned(&self.mstate).manifest, i, meta)
+    }
+
+    /// The commit point of a creation: one manifest save covering every
+    /// shard's [`Durability::checkpoint_created_shard`]. The save is an
+    /// atomic replace, so the directory either has no `MANIFEST` (no
+    /// deployment) or one describing every shard at epoch 1.
+    pub(crate) fn commit_creation(&self) -> StorageResult<()> {
+        let mut st = lock_unpoisoned(&self.mstate);
+        st.manifest.checkpoint_seq += 1;
+        st.manifest.save(&self.manifest_path)
     }
 
     /// Publishes shard `i`'s new meta into the in-memory manifest and
@@ -1212,14 +1294,7 @@ impl Durability {
     /// temp+rename+fsync instead of N.
     fn publish_manifest(&self, i: usize, meta: ShardMeta) -> StorageResult<()> {
         let mut st = lock_unpoisoned(&self.mstate);
-        match st.manifest.shards.get_mut(i) {
-            Some(slot) => *slot = meta,
-            None => {
-                return Err(StorageError::Io(std::io::Error::other(format!(
-                    "manifest has no slot for shard {i}"
-                ))));
-            }
-        }
+        set_manifest_slot(&mut st.manifest, i, meta)?;
         st.seq += 1;
         let my = st.seq;
         if self.policy == DurabilityPolicy::Immediate {

@@ -93,9 +93,8 @@ impl SaeServiceProvider {
             )));
         }
         let mut directory = HashMap::with_capacity(positions.len());
-        for pos in positions {
-            let bytes = heap.get(RecordId(pos))?;
-            let Some((id, _)) = record_header(&bytes) else {
+        heap.for_each_at(&positions, |pos, bytes| {
+            let Some((id, _)) = record_header(bytes) else {
                 return Err(StorageError::Corrupted(format!(
                     "heap slot {pos} too short to hold a record header"
                 )));
@@ -106,7 +105,8 @@ impl SaeServiceProvider {
                      deployment"
                 )));
             }
-        }
+            Ok(())
+        })?;
         Ok(SaeServiceProvider {
             store,
             heap,
@@ -1047,5 +1047,24 @@ mod tests {
         assert!(s.sp_dataset_bytes > s.sp_index_bytes);
         assert!(s.te_bytes < s.sp_total_bytes() / 2);
         assert!(s.te_bytes > 0);
+    }
+
+    /// Reopen rebuilds the id directory from the heap records the index
+    /// reaches; a heap slot too short for a record header is corruption.
+    #[test]
+    fn reopen_refuses_heap_slots_too_short_for_a_record_header() {
+        let store = MemPager::new_shared();
+        let mut heap = HeapFile::create(store.clone(), 8).unwrap();
+        for i in 0..20u64 {
+            heap.append(&i.to_le_bytes()).unwrap();
+        }
+        let entries: Vec<(u32, u64)> = (0..20u32).map(|i| (i, u64::from(i))).collect();
+        let index = BPlusTree::bulk_load(store.clone(), &entries).unwrap();
+        let opened = SaeServiceProvider::open(store, 8, 20, heap.pages().to_vec(), index.meta());
+        match opened {
+            Err(StorageError::Corrupted(msg)) => assert!(msg.contains("too short"), "{msg}"),
+            Err(other) => panic!("expected Corrupted, got {other:?}"),
+            Ok(_) => panic!("8-byte heap slots were accepted as records"),
+        }
     }
 }

@@ -385,6 +385,9 @@ impl ShardedSaeEngine {
     /// Partitions `dataset` by the layout and bulk-loads one SP/TE pair per
     /// shard onto the supplied stores — shared by the in-memory and durable
     /// creation paths so the shard construction cannot drift between them.
+    /// A durable build checkpoints each shard straight to its page files
+    /// while its SP and TE are still bare, then commits the whole creation
+    /// with one manifest save.
     fn build_on_stores(
         dataset: &Dataset,
         alg: HashAlgorithm,
@@ -398,7 +401,7 @@ impl ShardedSaeEngine {
         }
 
         let mut built = Vec::with_capacity(partitions.len());
-        for (records, stores) in partitions.into_iter().zip(stores) {
+        for (i, (records, stores)) in partitions.into_iter().zip(stores).enumerate() {
             let sub = Dataset {
                 spec: DatasetSpec {
                     cardinality: records.len(),
@@ -408,6 +411,9 @@ impl ShardedSaeEngine {
             };
             let sp = SaeServiceProvider::build(stores.sp_store, &sub)?;
             let te = TrustedEntity::build(stores.te_store, &sub, alg, TeMode::XbTree)?;
+            if let Some(d) = &durability {
+                d.checkpoint_created_shard(i, &sp, &te)?;
+            }
             let sp_stats = sp.store().stats();
             let te_stats = te.store().stats();
             built.push(SaeShard {
@@ -417,6 +423,9 @@ impl ShardedSaeEngine {
                 te_stats,
                 sp_cache: stores.sp_cache,
             });
+        }
+        if let Some(d) = &durability {
+            d.commit_creation()?;
         }
         Ok(ShardedSaeEngine {
             layout,
@@ -433,8 +442,11 @@ impl ShardedSaeEngine {
     /// own `sp-<i>.pages` / `te-<i>.pages` pager-file pair (each optionally
     /// behind a write-back [`CachedPager`] of `cache_pages` pages) and a
     /// single `MANIFEST` records the layout, committed tree roots and
-    /// published TE digests. Every accepted data-owner update is flushed and
-    /// synced in commit order — pages before manifest — so the deployment
+    /// published TE digests. The bulk load itself is not logged: its pages
+    /// are written and synced, and the one manifest save that follows is
+    /// the creation's commit point — a creation killed before it leaves no
+    /// deployment, and may simply be run again. Every accepted data-owner
+    /// update is logged and synced in commit order, so the deployment
     /// survives a restart via [`ShardedSaeEngine::open_dir`]. Commits run
     /// under [`DurabilityPolicy::Immediate`]; use
     /// [`ShardedSaeEngine::create_dir_with`] to pick a policy.
@@ -481,9 +493,7 @@ impl ShardedSaeEngine {
         let stores = (0..layout.shard_count())
             .map(|i| durability.stores(i))
             .collect();
-        let engine = Self::build_on_stores(dataset, alg, layout, stores, Some(durability))?;
-        engine.flush()?;
-        Ok(engine)
+        Self::build_on_stores(dataset, alg, layout, stores, Some(durability))
     }
 
     /// Reopens a deployment created by [`ShardedSaeEngine::create_dir`] from

@@ -6,22 +6,69 @@
 //! store. This separates the two quantities the experiments care about:
 //! charged node accesses (identical with or without the cache) and real I/O
 //! work (reduced by the cache), and lets the ablation experiments show both.
+//!
+//! ## Victims without a scan
+//!
+//! Every use of a resident page takes a fresh, unique tick, stored with the
+//! page and appended as a `(tick, page id)` entry to one of two recency
+//! queues, *clean* or *dirty*, by the page's state after the use. Appends
+//! come in tick order, so each queue is sorted from its least recently used
+//! end to its most recently used one. An entry is *live* while its tick is
+//! still its page's tick; the entries a later use (or an eviction) left
+//! behind are stale and are skipped when they reach the front.
+//!
+//! * A hit costs one map lookup, the tick store and one append to the tail
+//!   of a queue: no other page's state is touched, and nothing is allocated
+//!   once the queues have reached their working size.
+//! * The eviction victim is the first live entry at a queue's front. In
+//!   no-steal mode it is the clean queue's; with no clean page at all the
+//!   pool overflows its soft capacity at once, where a scan would have
+//!   walked every (dirty) resident page to find nothing. In steal mode it is
+//!   the older of the two queues' first live entries.
+//! * [`CachedPager::flush`] writes the dirty pages back and merges their
+//!   entries into the clean queue by tick — O(pool), but the flush writes
+//!   every dirty page anyway.
+//! * A queue holding more than eight times as many entries as there are
+//!   resident pages drops its stale entries in one pass, so every entry is
+//!   skipped or dropped at most once: O(1) per operation, amortized. Each
+//!   drop checks the entry against its page's tick, a map lookup, so the
+//!   factor trades the queues' memory (16 bytes an entry) for fewer lookups
+//!   per hit.
+//!
+//! **Exact LRU.** Ticks are unique and both queues stay sorted by them, so
+//! a queue's first live entry is its minimum-tick page, and the victim is
+//! exactly the page a `min_by_key` scan over every resident page's tick
+//! (clean pages only, in no-steal mode) would choose. Hit rates, evictions
+//! and backing-store writes are those of that scan; the test module keeps
+//! the scan as an oracle and checks the queues against it step by step.
 
 use crate::error::StorageResult;
 use crate::page::{Page, PageId};
 use crate::pager::{PageStore, SharedPageStore};
 use crate::stats::IoStats;
 use parking_lot::Mutex;
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 /// Default number of cached pages (1 MiB worth of 4 KiB pages).
 pub const DEFAULT_CAPACITY: usize = 256;
 
+/// One resident page.
+struct Entry {
+    page: Page,
+    dirty: bool,
+    /// Last-use tick; unique across the pool.
+    tick: u64,
+}
+
+/// A recency queue: `(tick, page id)` entries in ascending tick order.
+type Recency = VecDeque<(u64, u64)>;
+
 struct CacheState {
-    /// page id -> (page contents, dirty flag, last-use tick)
-    entries: HashMap<u64, (Page, bool, u64)>,
+    entries: HashMap<u64, Entry>,
+    clean: Recency,
+    dirty: Recency,
     /// Pages written since the last [`CachedPager::take_write_set`] — the
     /// WAL commit path's after-image source. Independent of the dirty
     /// flags: a flush clears dirtiness but not the pending write set.
@@ -29,28 +76,116 @@ struct CacheState {
     tick: u64,
 }
 
+/// Whether the queue entry `(tick, id)` is still its page's current use.
+fn live(entries: &HashMap<u64, Entry>, (tick, id): (u64, u64)) -> bool {
+    entries.get(&id).is_some_and(|entry| entry.tick == tick)
+}
+
+/// Pops `queue`'s stale entries off its front and returns the first live
+/// one, left in place.
+fn first_live(queue: &mut Recency, entries: &HashMap<u64, Entry>) -> Option<(u64, u64)> {
+    while let Some(&front) = queue.front() {
+        if live(entries, front) {
+            return Some(front);
+        }
+        queue.pop_front();
+    }
+    None
+}
+
 impl CacheState {
-    fn touch(&mut self, id: u64) {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some(entry) = self.entries.get_mut(&id) {
-            entry.2 = tick;
+    fn new() -> Self {
+        CacheState {
+            entries: HashMap::new(),
+            clean: Recency::new(),
+            dirty: Recency::new(),
+            write_set: HashSet::new(),
+            tick: 0,
         }
     }
 
-    fn lru_victim(&self) -> Option<u64> {
-        self.entries
-            .iter()
-            .min_by_key(|(_, (_, _, tick))| *tick)
-            .map(|(&id, _)| id)
+    /// Appends page `id`'s use at `tick` to the clean or the dirty queue,
+    /// dropping that queue's stale entries once it has grown past eight
+    /// entries per resident page.
+    fn enqueue(&mut self, tick: u64, id: u64, dirty: bool) {
+        let limit = 8 * self.entries.len() + 64;
+        let queue = if dirty {
+            &mut self.dirty
+        } else {
+            &mut self.clean
+        };
+        queue.push_back((tick, id));
+        if queue.len() > limit {
+            let entries = &self.entries;
+            queue.retain(|&entry| live(entries, entry));
+        }
     }
 
-    fn lru_clean_victim(&self) -> Option<u64> {
-        self.entries
-            .iter()
-            .filter(|(_, (_, dirty, _))| !*dirty)
-            .min_by_key(|(_, (_, _, tick))| *tick)
-            .map(|(&id, _)| id)
+    /// Marks page `id`, if resident, as used now — and dirty, if `write` —
+    /// and hands its cached page to `use_page`. One map lookup.
+    fn touch<R>(
+        &mut self,
+        id: u64,
+        write: bool,
+        use_page: impl FnOnce(&mut Page) -> R,
+    ) -> Option<R> {
+        let entry = self.entries.get_mut(&id)?;
+        self.tick += 1;
+        entry.tick = self.tick;
+        entry.dirty |= write;
+        let out = use_page(&mut entry.page);
+        let (tick, dirty) = (entry.tick, entry.dirty);
+        self.enqueue(tick, id, dirty);
+        Some(out)
+    }
+
+    /// Makes `page` resident as the most recently used page.
+    fn insert(&mut self, id: u64, page: Page, dirty: bool) {
+        self.tick += 1;
+        let tick = self.tick;
+        self.entries.insert(id, Entry { page, dirty, tick });
+        self.enqueue(tick, id, dirty);
+    }
+
+    /// The least recently used page eviction may take: the clean queue's
+    /// under no-steal, else the older of the two queues'.
+    fn victim(&mut self, no_steal: bool) -> Option<u64> {
+        let clean = first_live(&mut self.clean, &self.entries);
+        if no_steal {
+            return clean.map(|(_, id)| id);
+        }
+        let dirty = first_live(&mut self.dirty, &self.entries);
+        match (clean, dirty) {
+            (Some(c), Some(d)) => Some(c.min(d).1),
+            (c, d) => c.or(d).map(|(_, id)| id),
+        }
+    }
+
+    /// Moves the live entries of every page a flush cleaned from the dirty
+    /// queue into the clean queue at their place by tick — one merge of two
+    /// sorted queues, which drops every stale entry on the way.
+    fn merge_flushed(&mut self) {
+        let entries = &self.entries;
+        let mut clean = Recency::with_capacity(entries.len());
+        let mut dirty = Recency::new();
+        let mut old_clean = std::mem::take(&mut self.clean).into_iter().peekable();
+        for used in std::mem::take(&mut self.dirty) {
+            match entries.get(&used.1) {
+                Some(entry) if entry.tick == used.0 && entry.dirty => dirty.push_back(used),
+                Some(entry) if entry.tick == used.0 => {
+                    while let Some(older) = old_clean.next_if(|older| older.0 < used.0) {
+                        if live(entries, older) {
+                            clean.push_back(older);
+                        }
+                    }
+                    clean.push_back(used);
+                }
+                _ => {}
+            }
+        }
+        clean.extend(old_clean.filter(|&older| live(entries, older)));
+        self.clean = clean;
+        self.dirty = dirty;
     }
 }
 
@@ -75,11 +210,7 @@ impl CachedPager {
         CachedPager {
             inner,
             capacity,
-            cache_state: Mutex::new(CacheState {
-                entries: HashMap::new(),
-                write_set: HashSet::new(),
-                tick: 0,
-            }),
+            cache_state: Mutex::new(CacheState::new()),
             stats: IoStats::new_shared(),
             flush_on_drop: AtomicBool::new(true),
             no_steal: AtomicBool::new(false),
@@ -117,25 +248,30 @@ impl CachedPager {
     /// Flushes all dirty pages to the backing store, in ascending page-id
     /// order. `HashMap` iteration order would scatter the writes across the
     /// backing file; the commit path flushes whole batches at once, and
-    /// sorted ids turn that into one sequential pass over the file.
+    /// sorted ids turn that into one sequential pass over the file. The
+    /// flushed pages join the clean queue at their place by tick.
     pub fn flush(&self) -> StorageResult<()> {
         let mut state = self.cache_state.lock();
         let mut ids: Vec<u64> = state
             .entries
             .iter()
-            .filter(|(_, (_, dirty, _))| *dirty)
+            .filter(|(_, entry)| entry.dirty)
             .map(|(&id, _)| id)
             .collect();
         ids.sort_unstable();
+        let mut result = Ok(());
         for id in ids {
-            if let Some((page, dirty, _)) = state.entries.get_mut(&id) {
-                if *dirty {
-                    self.inner.write(PageId(id), page)?;
-                    *dirty = false;
+            if let Some(entry) = state.entries.get_mut(&id) {
+                if let Err(e) = self.inner.write(PageId(id), &entry.page) {
+                    result = Err(e);
+                    break;
                 }
+                entry.dirty = false;
             }
         }
-        Ok(())
+        // Pages written before a failure are clean all the same.
+        state.merge_flushed();
+        result
     }
 
     /// The backing store.
@@ -158,7 +294,7 @@ impl CachedPager {
         let mut out = Vec::with_capacity(ids.len());
         for id in ids {
             let page = match state.entries.get(&id) {
-                Some((page, _, _)) => page.clone(),
+                Some(entry) => entry.page.clone(),
                 None => self.inner.read(PageId(id))?,
             };
             out.push((PageId(id), page));
@@ -183,21 +319,17 @@ impl CachedPager {
     fn evict_if_full(&self, state: &mut CacheState) -> StorageResult<()> {
         let no_steal = self.no_steal.load(Ordering::Relaxed);
         while state.entries.len() >= self.capacity {
-            let victim = if no_steal {
-                // Never steal a dirty page; overflow the soft capacity when
-                // everything resident is dirty.
-                state.lru_clean_victim()
-            } else {
-                state.lru_victim()
-            };
-            let Some(victim) = victim else {
+            // Never steal a dirty page in no-steal mode; overflow the soft
+            // capacity when everything resident is dirty.
+            let Some(victim) = state.victim(no_steal) else {
                 break;
             };
-            if let Some((page, dirty, _)) = state.entries.remove(&victim) {
-                if dirty {
-                    self.inner.write(PageId(victim), &page)?;
+            if let Some(entry) = state.entries.get(&victim) {
+                if entry.dirty {
+                    self.inner.write(PageId(victim), &entry.page)?;
                 }
             }
+            state.entries.remove(&victim);
         }
         Ok(())
     }
@@ -211,37 +343,29 @@ impl PageStore for CachedPager {
     fn read(&self, id: PageId) -> StorageResult<Page> {
         self.stats.record_node_read();
         let mut state = self.cache_state.lock();
-        if let Some((page, _, _)) = state.entries.get(&id.0) {
-            let page = page.clone();
+        if let Some(page) = state.touch(id.0, false, |cached| cached.clone()) {
             self.stats.record_cache_hit();
-            state.touch(id.0);
             return Ok(page);
         }
         self.stats.record_cache_miss();
         let page = self.inner.read(id)?;
         self.evict_if_full(&mut state)?;
-        state.tick += 1;
-        let tick = state.tick;
-        state.entries.insert(id.0, (page.clone(), false, tick));
+        state.insert(id.0, page.clone(), false);
         Ok(page)
     }
 
     fn write(&self, id: PageId, page: &Page) -> StorageResult<()> {
         self.stats.record_node_write();
         let mut state = self.cache_state.lock();
-        if state.entries.contains_key(&id.0) {
+        let copy = |cached: &mut Page| cached.as_mut_slice().copy_from_slice(page.as_slice());
+        if state.touch(id.0, true, copy).is_some() {
             self.stats.record_cache_hit();
-            state.tick += 1;
-            let tick = state.tick;
-            state.entries.insert(id.0, (page.clone(), true, tick));
             state.write_set.insert(id.0);
             return Ok(());
         }
         self.stats.record_cache_miss();
         self.evict_if_full(&mut state)?;
-        state.tick += 1;
-        let tick = state.tick;
-        state.entries.insert(id.0, (page.clone(), true, tick));
+        state.insert(id.0, page.clone(), true);
         state.write_set.insert(id.0);
         Ok(())
     }
@@ -381,34 +505,36 @@ mod tests {
 
     /// `flush` must emit dirty pages in ascending page-id order — sequential
     /// I/O on the backing file — regardless of `HashMap` iteration order.
+    /// A backing store that logs the id of every page written to it.
+    struct Recorder {
+        inner: SharedPageStore,
+        writes: Mutex<Vec<u64>>,
+    }
+
+    impl PageStore for Recorder {
+        fn allocate(&self) -> StorageResult<PageId> {
+            self.inner.allocate()
+        }
+        fn read(&self, id: PageId) -> StorageResult<Page> {
+            self.inner.read(id)
+        }
+        fn write(&self, id: PageId, page: &Page) -> StorageResult<()> {
+            self.writes.lock().push(id.0);
+            self.inner.write(id, page)
+        }
+        fn sync(&self) -> StorageResult<()> {
+            self.inner.sync()
+        }
+        fn page_count(&self) -> u64 {
+            self.inner.page_count()
+        }
+        fn stats(&self) -> Arc<IoStats> {
+            self.inner.stats()
+        }
+    }
+
     #[test]
     fn flush_writes_dirty_pages_in_ascending_id_order() {
-        struct Recorder {
-            inner: SharedPageStore,
-            writes: Mutex<Vec<u64>>,
-        }
-        impl PageStore for Recorder {
-            fn allocate(&self) -> StorageResult<PageId> {
-                self.inner.allocate()
-            }
-            fn read(&self, id: PageId) -> StorageResult<Page> {
-                self.inner.read(id)
-            }
-            fn write(&self, id: PageId, page: &Page) -> StorageResult<()> {
-                self.writes.lock().push(id.0);
-                self.inner.write(id, page)
-            }
-            fn sync(&self) -> StorageResult<()> {
-                self.inner.sync()
-            }
-            fn page_count(&self) -> u64 {
-                self.inner.page_count()
-            }
-            fn stats(&self) -> Arc<IoStats> {
-                self.inner.stats()
-            }
-        }
-
         let recorder = Arc::new(Recorder {
             inner: MemPager::new_shared(),
             writes: Mutex::new(Vec::new()),
@@ -428,6 +554,182 @@ mod tests {
         recorder.writes.lock().clear();
         cache.flush().unwrap();
         assert!(recorder.writes.lock().is_empty());
+    }
+
+    /// The pool's victim choice before the recency lists, kept as the
+    /// oracle they must match: a `min_by_key` scan over every resident
+    /// page's last-use tick (clean pages only, in no-steal mode). It models
+    /// residency, dirtiness, ticks, hit/miss counts and the ids written to
+    /// the backing store; page contents are checked against `contents`.
+    struct ScanOracle {
+        entries: HashMap<u64, (bool, u64)>,
+        write_set: HashSet<u64>,
+        tick: u64,
+        capacity: usize,
+        no_steal: bool,
+        hits: u64,
+        misses: u64,
+        writes: Vec<u64>,
+    }
+
+    impl ScanOracle {
+        fn new(capacity: usize, no_steal: bool) -> Self {
+            ScanOracle {
+                entries: HashMap::new(),
+                write_set: HashSet::new(),
+                tick: 0,
+                capacity,
+                no_steal,
+                hits: 0,
+                misses: 0,
+                writes: Vec::new(),
+            }
+        }
+
+        fn evict_if_full(&mut self) {
+            while self.entries.len() >= self.capacity {
+                let victim = self
+                    .entries
+                    .iter()
+                    .filter(|(_, (dirty, _))| !(self.no_steal && *dirty))
+                    .min_by_key(|(_, (_, tick))| *tick)
+                    .map(|(&id, _)| id);
+                let Some(victim) = victim else {
+                    break;
+                };
+                if self.entries.remove(&victim).unwrap().0 {
+                    self.writes.push(victim);
+                }
+            }
+        }
+
+        fn read(&mut self, id: u64) {
+            if let Some(entry) = self.entries.get_mut(&id) {
+                self.hits += 1;
+                self.tick += 1;
+                entry.1 = self.tick;
+                return;
+            }
+            self.misses += 1;
+            self.evict_if_full();
+            self.tick += 1;
+            self.entries.insert(id, (false, self.tick));
+        }
+
+        fn write(&mut self, id: u64) {
+            if self.entries.contains_key(&id) {
+                self.hits += 1;
+            } else {
+                self.misses += 1;
+                self.evict_if_full();
+            }
+            self.tick += 1;
+            self.entries.insert(id, (true, self.tick));
+            self.write_set.insert(id);
+        }
+
+        fn flush(&mut self) {
+            let mut ids: Vec<u64> = self
+                .entries
+                .iter()
+                .filter(|(_, (dirty, _))| *dirty)
+                .map(|(&id, _)| id)
+                .collect();
+            ids.sort_unstable();
+            for id in ids {
+                self.writes.push(id);
+                self.entries.get_mut(&id).unwrap().0 = false;
+            }
+        }
+
+        fn take_write_set(&mut self) -> Vec<u64> {
+            let mut ids: Vec<u64> = self.write_set.drain().collect();
+            ids.sort_unstable();
+            ids
+        }
+    }
+
+    /// Seeded differential run: random reads, writes, flushes and write-set
+    /// drains against the pool and the scan oracle, in steal and no-steal
+    /// mode at capacities 1, 2 and 8. After every step the resident set
+    /// (hence every eviction), the hit and miss counts and the sequence of
+    /// backing-store writes must match, and every read returns the last
+    /// value written.
+    #[test]
+    fn recency_queues_evict_exactly_what_the_tick_scan_evicts() {
+        const PAGES: u64 = 12;
+        let mut rng = 0x5EED_u64;
+        let mut next = move |bound: u64| {
+            // splitmix64
+            rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = rng;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % bound
+        };
+        for no_steal in [false, true] {
+            for capacity in [1usize, 2, 8] {
+                for run in 0..20 {
+                    let recorder = Arc::new(Recorder {
+                        inner: MemPager::new_shared(),
+                        writes: Mutex::new(Vec::new()),
+                    });
+                    let cache =
+                        CachedPager::new(Arc::clone(&recorder) as SharedPageStore, capacity);
+                    cache.set_no_steal(no_steal);
+                    for _ in 0..PAGES {
+                        cache.allocate().unwrap();
+                    }
+                    let mut oracle = ScanOracle::new(capacity, no_steal);
+                    let mut contents = vec![0u64; PAGES as usize];
+                    for step in 0..1_000u64 {
+                        let id = next(PAGES);
+                        let op = next(20);
+                        let ctx =
+                            format!("no_steal={no_steal} cap={capacity} run={run} step={step}");
+                        match op {
+                            0..=8 => {
+                                let page = cache.read(PageId(id)).unwrap();
+                                assert_eq!(page.read_u64(0), contents[id as usize], "{ctx}");
+                                oracle.read(id);
+                            }
+                            9..=16 => {
+                                let mut page = Page::new();
+                                page.write_u64(0, step + 1);
+                                cache.write(PageId(id), &page).unwrap();
+                                contents[id as usize] = step + 1;
+                                oracle.write(id);
+                            }
+                            17..=18 => {
+                                cache.flush().unwrap();
+                                oracle.flush();
+                            }
+                            _ => {
+                                let taken = cache.take_write_set().unwrap();
+                                let ids: Vec<u64> = taken.iter().map(|(id, _)| id.0).collect();
+                                assert_eq!(ids, oracle.take_write_set(), "{ctx}");
+                                for (id, page) in &taken {
+                                    assert_eq!(page.read_u64(0), contents[id.0 as usize], "{ctx}");
+                                }
+                            }
+                        }
+                        let mut resident: Vec<u64> =
+                            cache.cache_state.lock().entries.keys().copied().collect();
+                        resident.sort_unstable();
+                        let mut expected: Vec<u64> = oracle.entries.keys().copied().collect();
+                        expected.sort_unstable();
+                        assert_eq!(resident, expected, "{ctx}");
+                        let snap = cache.stats().snapshot();
+                        assert_eq!(
+                            (snap.cache_hits, snap.cache_misses),
+                            (oracle.hits, oracle.misses),
+                            "{ctx}"
+                        );
+                        assert_eq!(*recorder.writes.lock(), oracle.writes, "{ctx}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -191,6 +191,43 @@ impl HeapFile {
             .to_vec())
     }
 
+    /// Calls `visit(position, record)` for each of `positions`, in order,
+    /// on the record's bytes in place. Each heap page is read once per run
+    /// of consecutive positions on it, so a key-clustered list costs one
+    /// page read per page instead of one per record, and no record is
+    /// copied. Stops at the first error, `visit`'s or a position past the
+    /// end of the file.
+    pub fn for_each_at<F>(&self, positions: &[u64], mut visit: F) -> StorageResult<()>
+    where
+        F: FnMut(u64, &[u8]) -> StorageResult<()>,
+    {
+        let per_page = self.records_per_page as u64;
+        let mut rest = positions;
+        while let Some(&first) = rest.first() {
+            if first >= self.record_count {
+                return Err(StorageError::RecordOutOfBounds {
+                    record_id: first,
+                    record_count: self.record_count,
+                });
+            }
+            let page_idx = first / per_page;
+            let run = rest
+                .iter()
+                .take_while(|&&pos| pos < self.record_count && pos / per_page == page_idx)
+                .count();
+            let page = self.store.read(self.pages[page_idx as usize])?;
+            for &pos in &rest[..run] {
+                let slot = (pos % per_page) as usize;
+                visit(
+                    pos,
+                    page.read_bytes(slot * self.record_len, self.record_len),
+                )?;
+            }
+            rest = &rest[run..];
+        }
+        Ok(())
+    }
+
     /// Overwrites the record with the given id.
     pub fn update(&mut self, id: RecordId, record: &[u8]) -> StorageResult<()> {
         if record.len() != self.record_len {
@@ -369,6 +406,48 @@ mod tests {
         let delta = store.stats().snapshot().delta_since(&before);
         // 32 records / 8 per page = 4 pages, read exactly once each.
         assert_eq!(delta.node_reads, 4);
+    }
+
+    #[test]
+    fn for_each_at_reads_each_page_once_per_run() {
+        let store = MemPager::new_shared();
+        let mut heap = HeapFile::create(store.clone(), 500).unwrap();
+        for i in 0..32u8 {
+            heap.append(&record(500, i)).unwrap();
+        }
+        // Pages: [0..8) [8..16) [16..24) [24..32). Runs: {3, 5}, {9},
+        // {2} (page 0 again), {30, 31, 24}.
+        let positions = [3u64, 5, 9, 2, 30, 31, 24];
+        let before = store.stats().snapshot();
+        let mut seen = Vec::new();
+        heap.for_each_at(&positions, |pos, bytes| {
+            assert_eq!(bytes, record(500, pos as u8).as_slice());
+            seen.push(pos);
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(seen, positions);
+        assert_eq!(store.stats().snapshot().delta_since(&before).node_reads, 4);
+
+        // A position past the end is refused; so is the visitor's own error,
+        // which stops the walk.
+        assert!(matches!(
+            heap.for_each_at(&[1, 32], |_, _| Ok(())),
+            Err(StorageError::RecordOutOfBounds {
+                record_id: 32,
+                record_count: 32
+            })
+        ));
+        let mut visited = 0;
+        let stop = heap.for_each_at(&[0, 1, 2], |pos, _| {
+            visited += 1;
+            if pos == 1 {
+                return Err(StorageError::Corrupted("stop".into()));
+            }
+            Ok(())
+        });
+        assert!(matches!(stop, Err(StorageError::Corrupted(_))));
+        assert_eq!(visited, 2);
     }
 
     #[test]

@@ -8,15 +8,18 @@
 //! reopening *recovers*: the write-ahead log replays every acknowledged
 //! write, so no crash point leaves the directory refusing to open — only
 //! the doomed in-flight write's visibility varies by where the kill landed
-//! relative to the log fsync.
+//! relative to the log fsync. Creation is not logged: its one manifest save
+//! is its commit point, so a creation killed before that save leaves no
+//! deployment to open, and may be run again.
 //!
 //! `SAE_DURABILITY_POLICY=immediate|group|flush-on-close` selects the
 //! commit policy every engine in this file runs under (default immediate),
 //! so CI exercises the whole recovery suite per policy.
 
+use sae::core::QueryService;
 use sae::prelude::*;
 use sae::storage::{
-    FilePager, PageStore, Party, ShardHeader, StorageError, PAGE_SIZE, SHARD_HEADER_PAGE,
+    FilePager, Manifest, PageStore, Party, ShardHeader, StorageError, PAGE_SIZE, SHARD_HEADER_PAGE,
 };
 use std::path::Path;
 
@@ -312,6 +315,87 @@ fn on_disk_tampering_is_detected_after_reopen() {
         ShardedSaeEngine::open_dir(dir.path(), ALG, None),
         Err(StorageError::Corrupted(_))
     ));
+}
+
+#[test]
+fn crash_free_creation_logs_nothing_and_commits_with_one_manifest_save() {
+    // The bulk load is its own checkpoint: no page image is logged, no log
+    // barrier runs, and one manifest save covers every shard.
+    let dir = tempfile::tempdir().unwrap();
+    let ds = dataset(3_000, 16);
+    let engine = create_engine(dir.path(), &ds, 3, None);
+    for (party, stats) in engine.party_stats() {
+        let snap = stats.snapshot();
+        assert_eq!((snap.wal_appends, snap.wal_syncs), (0, 0), "{party}");
+    }
+    let manifest = Manifest::load(dir.path().join("MANIFEST")).unwrap();
+    assert_eq!(manifest.checkpoint_seq, 1);
+    assert!(manifest.shards.iter().all(|shard| shard.epoch == 1));
+    for shard in 0..3 {
+        assert_eq!(engine.shard_epoch(shard), 1);
+    }
+    engine.close().unwrap();
+}
+
+#[test]
+fn crash_before_the_creation_manifest_leaves_no_deployment_to_open() {
+    // A creation killed after every shard's pages, headers and log are
+    // final but before the manifest save: the directory holds everything
+    // but `MANIFEST`, which is exactly the commit point creation never
+    // reached.
+    let dir = tempfile::tempdir().unwrap();
+    let ds = dataset(2_000, 17);
+    std::mem::forget(create_engine(dir.path(), &ds, 2, None));
+    std::fs::remove_file(dir.path().join("MANIFEST")).unwrap();
+    match ShardedSaeEngine::open_dir(dir.path(), ALG, None) {
+        Err(StorageError::Corrupted(msg)) => {
+            assert!(msg.contains("no deployment manifest"), "{msg}")
+        }
+        Err(other) => panic!("expected Corrupted, got {other:?}"),
+        Ok(_) => panic!("a creation without its manifest was opened"),
+    }
+
+    // Creating again over the leftovers is allowed, and serves every record.
+    let engine = create_engine(dir.path(), &ds, 2, None);
+    let outcome = engine.query(&RangeQuery::new(0, DOMAIN)).unwrap();
+    assert!(outcome.verdict.is_ok(), "{:?}", outcome.verdict);
+    let served: usize = outcome.slices.iter().map(|s| s.records.len()).sum();
+    assert_eq!(served, ds.records.len());
+    engine.close().unwrap();
+    let reopened = ShardedSaeEngine::open_dir(dir.path(), ALG, None).unwrap();
+    assert!(reopened
+        .query(&RangeQuery::new(0, DOMAIN))
+        .unwrap()
+        .verdict
+        .is_ok());
+}
+
+#[test]
+fn a_heap_record_id_copied_over_its_neighbour_is_refused_at_reopen() {
+    // Two index positions naming one record id: the reopened SP directory
+    // would map that id to only one of them, so a later delete would leave
+    // the other heap slot reachable. The reopen must refuse the directory.
+    let dir = tempfile::tempdir().unwrap();
+    let ds = dataset(800, 15);
+    create_engine(dir.path(), &ds, 2, None).close().unwrap();
+
+    // sp-0.pages page 2 is the first heap page; its records are 500 bytes
+    // apart, and each begins with its 8-byte id.
+    let path = dir.path().join("sp-0.pages");
+    let mut bytes = std::fs::read(&path).unwrap();
+    let first = 2 * PAGE_SIZE;
+    let (id0, id1) = (first..first + 8, first + 500..first + 508);
+    assert_ne!(bytes[id0.clone()], bytes[id1.clone()]);
+    bytes.copy_within(id0, id1.start);
+    std::fs::write(&path, &bytes).unwrap();
+
+    match ShardedSaeEngine::open_dir(dir.path(), ALG, None) {
+        Err(StorageError::Corrupted(msg)) => {
+            assert!(msg.contains("reachable from two index positions"), "{msg}")
+        }
+        Err(other) => panic!("expected Corrupted, got {other:?}"),
+        Ok(_) => panic!("a duplicated heap record id was accepted"),
+    }
 }
 
 /// Commits a prefix (bulk load + one insert + explicit flush), then returns
