@@ -28,12 +28,10 @@
 //! * [`CachedPager::flush`] writes the dirty pages back and merges their
 //!   entries into the clean queue by tick — O(pool), but the flush writes
 //!   every dirty page anyway.
-//! * A queue holding more than eight times as many entries as there are
-//!   resident pages drops its stale entries in one pass, so every entry is
-//!   skipped or dropped at most once: O(1) per operation, amortized. Each
-//!   drop checks the entry against its page's tick, a map lookup, so the
-//!   factor trades the queues' memory (16 bytes an entry) for fewer lookups
-//!   per hit.
+//! * A queue holding more than four times as many entries as there are
+//!   resident pages is rebuilt from the resident pages' own ticks, sorted:
+//!   O(pool log pool) once per ≥ 3 × pool appends, so O(log pool) compares
+//!   per operation, amortized, and no random lookup per stale entry.
 //!
 //! **Exact LRU.** Ticks are unique and both queues stay sorted by them, so
 //! a queue's first live entry is its minimum-tick page, and the victim is
@@ -105,10 +103,10 @@ impl CacheState {
     }
 
     /// Appends page `id`'s use at `tick` to the clean or the dirty queue,
-    /// dropping that queue's stale entries once it has grown past eight
+    /// dropping that queue's stale entries once it has grown past four
     /// entries per resident page.
     fn enqueue(&mut self, tick: u64, id: u64, dirty: bool) {
-        let limit = 8 * self.entries.len() + 64;
+        let limit = 4 * self.entries.len() + 64;
         let queue = if dirty {
             &mut self.dirty
         } else {
@@ -116,8 +114,18 @@ impl CacheState {
         };
         queue.push_back((tick, id));
         if queue.len() > limit {
-            let entries = &self.entries;
-            queue.retain(|&entry| live(entries, entry));
+            // Every resident page's current use is in the queue its dirty
+            // flag names, so the live entries are exactly the resident
+            // pages of that state. Rebuilding from them walks the map in
+            // order instead of looking every entry up at random.
+            let mut uses: Vec<(u64, u64)> = self
+                .entries
+                .iter()
+                .filter(|(_, entry)| entry.dirty == dirty)
+                .map(|(&id, entry)| (entry.tick, id))
+                .collect();
+            uses.sort_unstable();
+            *queue = uses.into();
         }
     }
 
