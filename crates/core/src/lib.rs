@@ -59,6 +59,7 @@ pub use engine::{serve_batch, QueryService, ThroughputReport};
 pub use metrics::{LatencySummary, QueryMetrics, StorageBreakdown};
 pub use replica::{ReplicaSet, SnapshotHeader, SNAPSHOT_HEADER_LEN, SNAPSHOT_MAGIC};
 pub use sae::{SaeClient, SaeQueryOutcome, SaeSystem, SaeVerifyError, TrustedEntity};
+pub use sae_storage::RecordBlock;
 pub use sharded::{
     verify_slices, ShardLayout, ShardSlice, ShardedQueryOutcome, ShardedSaeEngine,
     ShardedVerifyError,

@@ -14,8 +14,8 @@ use crate::tamper::TamperStrategy;
 use sae_btree::BPlusTree;
 use sae_crypto::{Digest, HashAlgorithm, DIGEST_LEN};
 use sae_storage::{
-    CostModel, HeapFile, MemPager, PageId, RecordId, SharedPageStore, StorageError, StorageResult,
-    TreeMeta,
+    CostModel, HeapFile, MemPager, PageId, RecordBlock, RecordId, SharedPageStore, StorageError,
+    StorageResult, TreeMeta,
 };
 use sae_workload::{Dataset, RangeQuery, Record, RecordKey, TeTuple};
 use sae_xbtree::{TupleStore, XbTree};
@@ -117,10 +117,12 @@ impl SaeServiceProvider {
 
     /// Answers a range query: index traversal, then retrieval of the matching
     /// records from the dataset file. Returns the encoded records in key
-    /// order.
-    pub fn query(&self, q: &RangeQuery) -> StorageResult<Vec<Vec<u8>>> {
+    /// order, packed into one block: each heap page's run of records is
+    /// copied once, straight from the page.
+    pub fn query(&self, q: &RangeQuery) -> StorageResult<RecordBlock> {
         let positions = self.index.range_record_ids(q)?;
-        let mut out = Vec::with_capacity(positions.len());
+        let record_len = self.heap.record_len();
+        let mut out = RecordBlock::with_capacity(positions.len(), positions.len() * record_len);
         // The heap is key-clustered for the initial load, so contiguous runs
         // can be fetched page-by-page; updates may break contiguity, in which
         // case records are fetched individually.
@@ -130,7 +132,8 @@ impl SaeServiceProvider {
             while i + run < positions.len() && positions[i + run] == positions[i] + run as u64 {
                 run += 1;
             }
-            out.extend(self.heap.get_range(RecordId(positions[i]), run as u64)?);
+            self.heap
+                .read_range_into(RecordId(positions[i]), run as u64, &mut out)?;
             i += run;
         }
         Ok(out)
@@ -446,7 +449,7 @@ impl SaeClient {
 
     /// Verifies a claimed result against a verification token. Returns
     /// `(accepted, wall-clock milliseconds spent)`.
-    pub fn verify(&self, q: &RangeQuery, result_records: &[Vec<u8>], vt: &Digest) -> (bool, f64) {
+    pub fn verify(&self, q: &RangeQuery, result_records: &RecordBlock, vt: &Digest) -> (bool, f64) {
         let (outcome, ms) = self.verify_detailed(q, result_records, vt);
         (outcome.is_ok(), ms)
     }
@@ -456,7 +459,7 @@ impl SaeClient {
     pub fn verify_detailed(
         &self,
         q: &RangeQuery,
-        result_records: &[Vec<u8>],
+        result_records: &RecordBlock,
         vt: &Digest,
     ) -> (Result<(), SaeVerifyError>, f64) {
         let start = Instant::now();
@@ -467,14 +470,14 @@ impl SaeClient {
     fn check(
         &self,
         q: &RangeQuery,
-        result_records: &[Vec<u8>],
+        result_records: &RecordBlock,
         vt: &Digest,
     ) -> Result<(), SaeVerifyError> {
         // ---- 1. Structural checks: the result must look like a contiguous
         // slice of the outsourced relation before the XOR fold means anything.
         let expected_len = self
             .record_len
-            .or_else(|| result_records.first().map(Vec::len));
+            .or_else(|| result_records.first().map(<[u8]>::len));
         let mut seen_ids = HashSet::with_capacity(result_records.len());
         let mut prev_key: Option<u32> = None;
         for bytes in result_records {
@@ -505,7 +508,10 @@ impl SaeClient {
         }
 
         // ---- 2. The cryptographic check: XOR the digests, compare with VT.
-        if self.alg.fold(result_records) == *vt {
+        let digest = self
+            .alg
+            .fold_packed(result_records.as_bytes(), result_records.ends());
+        if digest == *vt {
             Ok(())
         } else {
             Err(SaeVerifyError::TokenMismatch)
@@ -517,7 +523,7 @@ impl SaeClient {
 #[derive(Clone, Debug)]
 pub struct SaeQueryOutcome {
     /// The (possibly tampered) result the SP returned, encoded records.
-    pub records: Vec<Vec<u8>>,
+    pub records: RecordBlock,
     /// The verification token from the TE.
     pub vt: Digest,
     /// Cost accounting for this query.
@@ -617,7 +623,7 @@ impl SaeSystem {
         let honest = self.sp.query(q)?;
         let sp_delta = self.sp.store().stats().snapshot().delta_since(&sp_before);
 
-        let records = tamper.apply_sized(&honest, q, seed, self.sp.record_len());
+        let records = tamper.apply_block(honest, q, seed, self.sp.record_len());
 
         // --- Trusted entity: compute the token (independent of the SP).
         let te_before = self.te.store().stats().snapshot();
@@ -734,6 +740,10 @@ mod tests {
     use super::*;
     use sae_workload::{DatasetSpec, KeyDistribution, RECORD_HEADER_LEN};
 
+    fn block(records: &[Vec<u8>]) -> RecordBlock {
+        records.iter().collect()
+    }
+
     fn small_dataset(n: usize) -> Dataset {
         DatasetSpec {
             cardinality: n,
@@ -847,14 +857,14 @@ mod tests {
 
         // Honest baseline accepts.
         let vt = vt_of(&[&a, &b]);
-        let (ok, _) = client.verify(&q, &[a.encode(), b.encode()], &vt);
+        let (ok, _) = client.verify(&q, &block(&[a.encode(), b.encode()]), &vt);
         assert!(ok);
 
         // Wrong record length (the fabricated record cancels itself, so only
         // the length check can catch it).
         let bogus = Record::with_size(99, 150, 32);
         let with_pair = vec![a.encode(), bogus.encode(), bogus.encode(), b.encode()];
-        let (verdict, _) = client.verify_detailed(&q, &with_pair, &vt_of(&[&a, &b]));
+        let (verdict, _) = client.verify_detailed(&q, &block(&with_pair), &vt_of(&[&a, &b]));
         assert!(matches!(
             verdict,
             Err(SaeVerifyError::WrongRecordLength { expected: 64, .. })
@@ -862,12 +872,16 @@ mod tests {
 
         // Key outside the query range.
         let outside = Record::with_size(3, 500, 64);
-        let (verdict, _) =
-            client.verify_detailed(&q, &[a.encode(), outside.encode()], &vt_of(&[&a, &outside]));
+        let (verdict, _) = client.verify_detailed(
+            &q,
+            &block(&[a.encode(), outside.encode()]),
+            &vt_of(&[&a, &outside]),
+        );
         assert_eq!(verdict, Err(SaeVerifyError::KeyOutOfRange));
 
         // Unsorted keys.
-        let (verdict, _) = client.verify_detailed(&q, &[b.encode(), a.encode()], &vt_of(&[&a, &b]));
+        let (verdict, _) =
+            client.verify_detailed(&q, &block(&[b.encode(), a.encode()]), &vt_of(&[&a, &b]));
         assert_eq!(verdict, Err(SaeVerifyError::NotSorted));
 
         // Undecodable record (too short for the header) with a matching
@@ -876,11 +890,11 @@ mod tests {
         let stub = vec![0u8; 4];
         let mut acc = Digest::ZERO;
         acc ^= alg.hash(&stub);
-        let (verdict, _) = free_client.verify_detailed(&q, &[stub], &acc);
+        let (verdict, _) = free_client.verify_detailed(&q, &block(&[stub]), &acc);
         assert_eq!(verdict, Err(SaeVerifyError::BadRecordEncoding));
 
         // Plain token mismatch still reported.
-        let (verdict, _) = client.verify_detailed(&q, &[a.encode()], &vt_of(&[&a, &b]));
+        let (verdict, _) = client.verify_detailed(&q, &block(&[a.encode()]), &vt_of(&[&a, &b]));
         assert_eq!(verdict, Err(SaeVerifyError::TokenMismatch));
     }
 
@@ -900,13 +914,13 @@ mod tests {
             for r in &records {
                 vt ^= alg.hash(r);
             }
-            let (verdict, _) = client.verify_detailed(&q, &records, &vt);
+            let (verdict, _) = client.verify_detailed(&q, &block(&records), &vt);
             assert_eq!(verdict, Ok(()), "{n} records");
 
             for i in 0..records.len() {
                 let mut tampered = records.clone();
                 tampered[i][RECORD_HEADER_LEN + i * 7] ^= 0x01;
-                let (verdict, _) = client.verify_detailed(&q, &tampered, &vt);
+                let (verdict, _) = client.verify_detailed(&q, &block(&tampered), &vt);
                 assert_eq!(
                     verdict,
                     Err(SaeVerifyError::TokenMismatch),

@@ -54,7 +54,7 @@ use crate::tamper::TamperStrategy;
 use parking_lot::{RwLock, RwLockWriteGuard};
 use sae_crypto::{Digest, HashAlgorithm, DIGEST_LEN};
 use sae_storage::{
-    CachedPager, CostModel, IoSnapshot, IoStats, MemPager, PageStore, SharedPageStore,
+    CachedPager, CostModel, IoSnapshot, IoStats, MemPager, PageStore, RecordBlock, SharedPageStore,
     StorageError, StorageResult,
 };
 use sae_workload::{Dataset, DatasetSpec, RangeQuery, Record, RecordKey};
@@ -161,8 +161,9 @@ impl ShardLayout {
 pub struct ShardSlice {
     /// Which shard produced the slice.
     pub shard: usize,
-    /// The encoded result records of the clamped sub-query, in key order.
-    pub records: Vec<Vec<u8>>,
+    /// The encoded result records of the clamped sub-query, in key order,
+    /// packed into one block.
+    pub records: RecordBlock,
     /// The shard TE's verification token over the clamped sub-query.
     pub vt: Digest,
 }
@@ -754,11 +755,12 @@ impl ShardedSaeEngine {
     /// clamped sub-query under its SP read lock held across its TE read, so
     /// every slice is internally consistent.
     pub fn scatter(&self, q: &RangeQuery) -> StorageResult<Vec<ShardSlice>> {
-        self.layout
-            .overlapping_clamped(q)
-            .into_iter()
-            .map(|(i, sub)| self.shard_slice(i, &sub))
-            .collect()
+        let overlapping = self.layout.overlapping_clamped(q);
+        let mut slices = Vec::with_capacity(overlapping.len());
+        for (i, sub) in overlapping {
+            slices.push(self.shard_slice(i, &sub)?);
+        }
+        Ok(slices)
     }
 
     /// Answers one shard's clamped sub-query: the records of `sub` from the
@@ -892,18 +894,31 @@ impl ShardedSaeEngine {
                 if let Some(i) = (0..slices.len().saturating_sub(1))
                     .find(|&i| !slices[i].records.is_empty() || !slices[i + 1].records.is_empty())
                 {
-                    if slices[i].records.is_empty() {
-                        let moved = slices[i + 1].records.remove(0);
-                        slices[i].records.push(moved);
-                    } else if let Some(moved) = slices[i].records.pop() {
-                        slices[i + 1].records.insert(0, moved);
-                    }
+                    // Cut the two slices' records one place off their
+                    // boundary: the left slice's last record moves right,
+                    // or, when the left slice is empty, the right slice's
+                    // first moves left.
+                    let cut = match slices[i].records.len() {
+                        0 => 1,
+                        left => left - 1,
+                    };
+                    let both: Vec<&[u8]> = slices[i]
+                        .records
+                        .iter()
+                        .chain(&slices[i + 1].records)
+                        .collect();
+                    let (left, right) = both.split_at(cut);
+                    let (left, right) = (left.iter().collect(), right.iter().collect());
+                    slices[i].records = left;
+                    slices[i + 1].records = right;
                 } else if let Some(slice) = slices.iter_mut().find(|s| s.records.len() >= 2) {
                     // A single responding slice has no boundary to cross;
                     // degrade to the flat-path behaviour (first/last swap,
                     // breaking key order) rather than silently not attacking.
-                    let last = slice.records.len() - 1;
-                    slice.records.swap(0, last);
+                    let mut records = slice.records.to_vecs();
+                    let last = records.len() - 1;
+                    records.swap(0, last);
+                    slice.records = records.into_iter().collect();
                 }
             }
             other => {
@@ -917,8 +932,8 @@ impl ShardedSaeEngine {
                             "scatter produced a slice from a non-overlapping shard".into(),
                         )
                     })?;
-                    slices[pos].records =
-                        other.apply_sized(&slices[pos].records, &sub, seed, self.record_len);
+                    let honest = std::mem::take(&mut slices[pos].records);
+                    slices[pos].records = other.apply_block(honest, &sub, seed, self.record_len);
                 }
             }
         }
@@ -1123,11 +1138,8 @@ mod tests {
                     "{shards} shards, {q}"
                 );
                 // The stitched records are exactly the flat result.
-                let stitched: Vec<Vec<u8>> = outcome
-                    .slices
-                    .iter()
-                    .flat_map(|s| s.records.iter().cloned())
-                    .collect();
+                let stitched: RecordBlock =
+                    outcome.slices.iter().flat_map(|s| &s.records).collect();
                 assert_eq!(stitched, expected.records, "{shards} shards, {q}");
             }
         }

@@ -11,6 +11,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sae_crypto::{Digest, HashAlgorithm, DIGEST_LEN};
+use sae_storage::RecordBlock;
 use sae_workload::{RangeQuery, Record, RECORD_HEADER_LEN};
 
 /// How many records [`TamperStrategy::LinearForgery`] fabricates: enough that
@@ -104,6 +105,24 @@ impl TamperStrategy {
     pub fn apply(&self, honest: &[Vec<u8>], query: &RangeQuery, seed: u64) -> Vec<Vec<u8>> {
         let record_size = honest.first().map(|r| r.len()).unwrap_or(500);
         self.apply_sized(honest, query, seed, record_size)
+    }
+
+    /// [`TamperStrategy::apply_sized`] on a record block: an honest
+    /// strategy hands `honest` back untouched; an attack works on a copy of
+    /// its records, which may come back with any lengths.
+    pub fn apply_block(
+        &self,
+        honest: RecordBlock,
+        query: &RangeQuery,
+        seed: u64,
+        record_size: usize,
+    ) -> RecordBlock {
+        if !self.is_attack() {
+            return honest;
+        }
+        self.apply_sized(&honest.to_vecs(), query, seed, record_size)
+            .into_iter()
+            .collect()
     }
 
     /// Like [`TamperStrategy::apply`], but fabricating records of exactly

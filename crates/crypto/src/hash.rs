@@ -47,6 +47,30 @@ impl HashAlgorithm {
         }
     }
 
+    /// [`HashAlgorithm::fold`] over records packed back to back in `bytes`,
+    /// record `i` ending at offset `ends[i]` and starting where record
+    /// `i - 1` ends (a record block's layout). No per-record pointer list is
+    /// built: SHA-1 takes each group of sixteen equal-length records
+    /// through the lanes straight from `bytes`, and a group of mixed lengths
+    /// falls back to one record at a time, with the same digest.
+    ///
+    /// # Panics
+    ///
+    /// If `ends` is not ascending or reaches past `bytes`.
+    pub fn fold_packed(&self, bytes: &[u8], ends: &[usize]) -> Digest {
+        match self {
+            HashAlgorithm::Sha1 => sha1::fold_packed(bytes, ends),
+            HashAlgorithm::Sha256 => {
+                let mut start = 0;
+                ends.iter().fold(Digest::ZERO, |acc, &end| {
+                    let record = &bytes[start..end];
+                    start = end;
+                    acc ^ Sha256::digest(record)
+                })
+            }
+        }
+    }
+
     /// Creates a streaming hasher for this algorithm.
     pub fn hasher(&self) -> Hasher {
         match self {

@@ -123,32 +123,49 @@ fn to_digest(state: [u32; 5]) -> Digest {
 /// each run of sixteen equal-length records is hashed in lock step; the rest
 /// are hashed one at a time. The result is the same either way.
 pub(crate) fn fold<R: AsRef<[u8]>>(records: &[R]) -> Digest {
+    fold_by(records.len(), |i| records[i].as_ref())
+}
+
+/// [`fold`] over records packed back to back in `bytes`, record `i` ending
+/// at `ends[i]` (and starting where record `i - 1` ends). Every group of
+/// sixteen equal-length records takes the lanes straight from `bytes`.
+pub(crate) fn fold_packed(bytes: &[u8], ends: &[usize]) -> Digest {
+    fold_by(ends.len(), |i| {
+        let start = i.checked_sub(1).map_or(0, |prev| ends[prev]);
+        &bytes[start..ends[i]]
+    })
+}
+
+/// [`fold`] over the `n` records `record(0)`, …, `record(n - 1)`.
+fn fold_by<'a>(n: usize, record: impl Fn(usize) -> &'a [u8]) -> Digest {
     #[cfg(target_arch = "x86_64")]
     if let Some(lanes) = x16::Avx512::detect() {
-        return fold_lanes(records, lanes);
+        return fold_lanes(n, record, lanes);
     }
-    fold_each(records)
+    fold_each(0..n, record)
 }
 
-/// [`fold`] one record at a time.
-fn fold_each<R: AsRef<[u8]>>(records: &[R]) -> Digest {
-    records
-        .iter()
-        .fold(Digest::ZERO, |acc, r| acc ^ Sha1::digest(r.as_ref()))
+/// [`fold_by`] one record at a time, over the records `indices` names.
+fn fold_each<'a>(
+    indices: impl Iterator<Item = usize>,
+    record: impl Fn(usize) -> &'a [u8],
+) -> Digest {
+    indices.fold(Digest::ZERO, |acc, i| acc ^ Sha1::digest(record(i)))
 }
 
-/// [`fold`] sixteen records at a time, falling back to [`fold_each`] for the
-/// remainder and for any group of mixed lengths.
+/// [`fold_by`] sixteen records at a time, falling back to [`fold_each`] for
+/// the remainder and for any group of mixed lengths.
 #[cfg(target_arch = "x86_64")]
-fn fold_lanes<R: AsRef<[u8]>>(records: &[R], lanes: x16::Avx512) -> Digest {
-    let groups = records.chunks_exact(x16::LANES);
-    let mut acc = fold_each(groups.remainder());
-    for group in groups {
-        acc ^= match lanes.hash(&std::array::from_fn(|l| group[l].as_ref())) {
+fn fold_lanes<'a>(n: usize, record: impl Fn(usize) -> &'a [u8], lanes: x16::Avx512) -> Digest {
+    let whole = n - n % x16::LANES;
+    let mut acc = fold_each(whole..n, &record);
+    for first in (0..whole).step_by(x16::LANES) {
+        let group: [&[u8]; x16::LANES] = std::array::from_fn(|l| record(first + l));
+        acc ^= match lanes.hash(&group) {
             // XOR commutes with the big-endian spelling, so the lanes' words
             // are folded before they become bytes.
             Some(states) => to_digest(states.map(|words| words.iter().fold(0, |x, w| x ^ w))),
-            None => fold_each(group),
+            None => fold_each(0..x16::LANES, |l| group[l]),
         };
     }
     acc
@@ -433,6 +450,12 @@ mod tests {
         })
     }
 
+    /// [`fold_lanes`] over a slice of records.
+    #[cfg(target_arch = "x86_64")]
+    fn lanes_fold(records: &[&[u8]], lanes: x16::Avx512) -> Digest {
+        fold_lanes(records.len(), |i| records[i], lanes)
+    }
+
     /// Each lane's digest from the lanes' final states.
     #[cfg(target_arch = "x86_64")]
     fn lane_digests(states: x16::States) -> [Digest; x16::LANES] {
@@ -472,11 +495,11 @@ mod tests {
             let got = lane_digests(lanes.hash(&sixteen).unwrap());
             assert_eq!(got[..], want[..16], "length {len}");
             assert_eq!(
-                fold_lanes(&group[..16], lanes),
+                lanes_fold(&group[..16], lanes),
                 scalar_fold(&group[..16]),
                 "16 x {len}"
             );
-            assert_eq!(fold_lanes(&group, lanes), scalar_fold(&group), "17 x {len}");
+            assert_eq!(lanes_fold(&group, lanes), scalar_fold(&group), "17 x {len}");
         }
 
         // Empty input, remainders, and several whole groups.
@@ -484,7 +507,7 @@ mod tests {
             for n in 0..=40 {
                 let records = msgs(n, len);
                 assert_eq!(
-                    fold_lanes(&records, lanes),
+                    lanes_fold(&records, lanes),
                     scalar_fold(&records),
                     "{n} x {len}"
                 );
@@ -499,7 +522,7 @@ mod tests {
             let sixteen = std::array::from_fn(|l| records[l]);
             assert!(lanes.hash(&sixteen).is_none(), "lane {odd}");
             assert_eq!(
-                fold_lanes(&records, lanes),
+                lanes_fold(&records, lanes),
                 scalar_fold(&records),
                 "lane {odd}"
             );

@@ -193,3 +193,83 @@ proptest! {
         prop_assert_eq!(got.to_u64(), Some(expected));
     }
 }
+
+/// Records packed back to back, as a record block lays them out: the bytes
+/// and each record's end offset.
+fn pack(records: &[Vec<u8>]) -> (Vec<u8>, Vec<usize>) {
+    let mut ends = Vec::with_capacity(records.len());
+    let mut bytes = Vec::new();
+    for record in records {
+        bytes.extend_from_slice(record);
+        ends.push(bytes.len());
+    }
+    (bytes, ends)
+}
+
+/// The XOR of each record's own digest: what every fold must equal.
+fn fold_each(alg: HashAlgorithm, records: &[Vec<u8>]) -> Digest {
+    records
+        .iter()
+        .fold(Digest::ZERO, |acc, record| acc ^ alg.hash(record))
+}
+
+/// `fold_packed` over uniform blocks (every count 0..=40 of every length in
+/// {0, 55, 64, 500}, so whole groups of sixteen and remainders), over the
+/// same blocks made ragged (one record a byte shorter, at the front, inside
+/// a group and at the end), and over the empty block, equals the XOR of the
+/// per-record digests, for both algorithms.
+#[test]
+fn packed_fold_is_the_xor_of_the_record_digests() {
+    for alg in [HashAlgorithm::Sha1, HashAlgorithm::Sha256] {
+        for len in [0usize, 55, 64, 500] {
+            for n in 0..=40usize {
+                let records: Vec<Vec<u8>> = (0..n)
+                    .map(|i| (0..len).map(|b| (i * 31 + b * 7) as u8).collect())
+                    .collect();
+                let (bytes, ends) = pack(&records);
+                let want = fold_each(alg, &records);
+                assert_eq!(alg.fold_packed(&bytes, &ends), want, "{n} x {len}");
+                assert_eq!(alg.fold(&records), want, "{n} x {len}");
+                if len == 0 {
+                    continue;
+                }
+                for short in [0, 5, n.saturating_sub(1)] {
+                    if short >= n {
+                        continue;
+                    }
+                    let mut ragged = records.clone();
+                    ragged[short].pop();
+                    let (bytes, ends) = pack(&ragged);
+                    assert_eq!(
+                        alg.fold_packed(&bytes, &ends),
+                        fold_each(alg, &ragged),
+                        "{n} x {len}, record {short} short"
+                    );
+                }
+            }
+        }
+        assert_eq!(alg.fold_packed(&[], &[]), Digest::ZERO);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Blocks of arbitrary lengths fold like their records one by one.
+    #[test]
+    fn packed_fold_matches_per_record_hashing(
+        picks in prop::collection::vec(0usize..6, 0..=40),
+        seed in any::<u8>(),
+    ) {
+        const LENS: [usize; 6] = [0, 3, 55, 56, 64, 500];
+        let records: Vec<Vec<u8>> = picks
+            .iter()
+            .enumerate()
+            .map(|(i, &pick)| vec![seed ^ i as u8; LENS[pick]])
+            .collect();
+        let (bytes, ends) = pack(&records);
+        for alg in [HashAlgorithm::Sha1, HashAlgorithm::Sha256] {
+            prop_assert_eq!(alg.fold_packed(&bytes, &ends), fold_each(alg, &records));
+        }
+    }
+}

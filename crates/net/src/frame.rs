@@ -12,7 +12,7 @@
 //! payload := [version: u8] [msg_type: u8] [body]
 //! ```
 
-use sae_core::ShardSlice;
+use sae_core::{RecordBlock, ShardSlice};
 use sae_crypto::{Digest, DIGEST_LEN};
 use sae_storage::crc32::crc32;
 use sae_workload::RangeQuery;
@@ -237,8 +237,9 @@ pub enum Message {
         /// it only as a freshness heuristic against its high-water mark —
         /// correctness still rests entirely on the TE token.
         epoch: u64,
-        /// The slice's records, each exactly `record_len` bytes.
-        records: Vec<Vec<u8>>,
+        /// The slice's records, each exactly `record_len` bytes, packed into
+        /// one block exactly as they travel on the wire.
+        records: RecordBlock,
         /// The shard TE's verification token over the sub-query.
         vt: Digest,
     },
@@ -346,9 +347,7 @@ impl Message {
     fn body_len(&self) -> usize {
         match self {
             Message::Query { .. } | Message::FetchTail { .. } => 12,
-            Message::Slice { records, .. } => {
-                20 + DIGEST_LEN + records.iter().map(Vec::len).sum::<usize>()
-            }
+            Message::Slice { records, .. } => 20 + DIGEST_LEN + records.as_bytes().len(),
             Message::Error { detail, .. } => 3 + detail.len(),
             Message::Ping | Message::Pong => 0,
             Message::Status { .. } => 4,
@@ -379,9 +378,7 @@ impl Message {
                 out.extend_from_slice(&(records.len() as u32).to_le_bytes());
                 out.extend_from_slice(&epoch.to_le_bytes());
                 out.extend_from_slice(vt.as_bytes());
-                for record in records {
-                    out.extend_from_slice(record);
-                }
+                out.extend_from_slice(records.as_bytes());
             }
             Message::Error {
                 code,
@@ -475,10 +472,12 @@ impl Message {
                 if count > 0 && record_len == 0 {
                     return Err(NetError::Malformed("non-empty slice with zero record_len"));
                 }
-                let records = payload
-                    .chunks_exact(record_len.max(1) as usize)
-                    .map(<[u8]>::to_vec)
-                    .collect();
+                // The one copy of the record bytes; the checks above make
+                // them a whole number of records.
+                let records = RecordBlock::from_uniform(payload.to_vec(), record_len as usize)
+                    .ok_or(NetError::Malformed(
+                        "slice body length disagrees with count x record_len",
+                    ))?;
                 Ok(Message::Slice {
                     shard,
                     record_len,
@@ -699,7 +698,8 @@ pub fn read_frame<R: Read>(r: &mut R) -> NetResult<(Message, usize)> {
     Ok((Message::decode(&payload)?, FRAME_HEADER_LEN + len))
 }
 
-/// [`Message::from_slice`] for a borrowed slice: clones its records.
+/// [`Message::from_slice`] for a borrowed slice: clones its record block,
+/// one copy of the record bytes.
 pub fn slice_to_message(slice: &ShardSlice, record_len: usize, epoch: u64) -> Option<Message> {
     Message::from_slice(slice.clone(), record_len, epoch)
 }
@@ -736,14 +736,14 @@ mod tests {
             shard: 1,
             record_len: 4,
             epoch: 17,
-            records: vec![vec![1, 2, 3, 4], vec![5, 6, 7, 8]],
+            records: [[1u8, 2, 3, 4], [5, 6, 7, 8]].into_iter().collect(),
             vt: Digest::new([7u8; DIGEST_LEN]),
         });
         roundtrip(Message::Slice {
             shard: 0,
             record_len: 0,
             epoch: 0,
-            records: Vec::new(),
+            records: RecordBlock::new(),
             vt: Digest::ZERO,
         });
         roundtrip(Message::Status { shard: 2 });
@@ -807,8 +807,12 @@ mod tests {
         // `net_wide`'s shape: 1 000 records of 500 B, so the CRC takes the
         // fold path wherever the CPU has one (`sae-storage` holds both
         // backends to the bitwise reference).
-        let records: Vec<Vec<u8>> = (0..1000u32)
-            .map(|i| (0..500u32).map(|j| (i * 31 + j * 7) as u8).collect())
+        let records: RecordBlock = (0..1000u32)
+            .map(|i| {
+                (0..500u32)
+                    .map(|j| (i * 31 + j * 7) as u8)
+                    .collect::<Vec<u8>>()
+            })
             .collect();
         let message = Message::Slice {
             shard: 1,
@@ -822,7 +826,17 @@ mod tests {
         assert_eq!(frame.len(), FRAME_HEADER_LEN + payload_len);
         assert_eq!(frame[..4], (payload_len as u32).to_le_bytes());
         assert_eq!(frame[4..8], crc32(&frame[FRAME_HEADER_LEN..]).to_le_bytes());
-        assert_eq!(decode_frame(&frame).unwrap(), (message, frame.len()));
+        // The CRC-32/IEEE of this payload, computed from the layout in
+        // `docs/protocol.md` by an independent implementation.
+        assert_eq!(frame[4..8], 0xe9e3_66d2_u32.to_le_bytes());
+        let (decoded, used) = decode_frame(&frame).unwrap();
+        assert_eq!(used, frame.len());
+        let Message::Slice { records, .. } = &decoded else {
+            panic!("decoded {decoded:?}");
+        };
+        assert_eq!(records.len(), 1000);
+        assert_eq!(records.as_bytes(), &frame[FRAME_HEADER_LEN + 42..]);
+        assert_eq!(decoded, message);
     }
 
     #[test]
@@ -830,7 +844,7 @@ mod tests {
         let header = 2 + 20 + DIGEST_LEN;
         let slice = |len: usize| ShardSlice {
             shard: 0,
-            records: vec![vec![0u8; len]],
+            records: [vec![0u8; len]].into_iter().collect(),
             vt: Digest::ZERO,
         };
         let fits = MAX_FRAME_PAYLOAD - header;
@@ -909,6 +923,34 @@ mod tests {
         payload.extend_from_slice(&[0u8; 8]); // only one record present
         assert!(matches!(
             Message::decode(&payload),
+            Err(NetError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn slices_of_zero_length_records_or_mixed_lengths_are_malformed() {
+        let mut payload = vec![WIRE_VERSION, msg::SLICE];
+        payload.extend_from_slice(&1u32.to_le_bytes()); // shard
+        payload.extend_from_slice(&0u32.to_le_bytes()); // record_len
+        payload.extend_from_slice(&2u32.to_le_bytes()); // count
+        payload.extend_from_slice(&0u64.to_le_bytes()); // epoch
+        payload.extend_from_slice(&[0u8; DIGEST_LEN]);
+        assert!(matches!(
+            Message::decode(&payload),
+            Err(NetError::Malformed("non-empty slice with zero record_len"))
+        ));
+
+        // A block whose records differ in length encodes (a byzantine server
+        // may send it), and its bytes disagree with count x record_len.
+        let ragged = Message::Slice {
+            shard: 0,
+            record_len: 4,
+            epoch: 0,
+            records: [&[1u8, 2, 3, 4][..], &[5, 6, 7]].into_iter().collect(),
+            vt: Digest::ZERO,
+        };
+        assert!(matches!(
+            decode_frame(&encode_frame(&ragged)),
             Err(NetError::Malformed(_))
         ));
     }

@@ -483,7 +483,7 @@ fn answer_query(shard: u32, range: &sae_workload::RangeQuery, shared: &Shared) -
         epoch = 0;
     }
     shared.stats.queries.fetch_add(1, Ordering::Relaxed);
-    let record_len = slice.records.first().map_or(0, Vec::len);
+    let record_len = slice.records.first().map_or(0, <[u8]>::len);
     match Message::from_slice(slice, record_len, epoch) {
         Some(message) => message,
         None => error_message(
@@ -612,12 +612,12 @@ fn replication_error(e: &StorageError) -> Message {
 fn apply_tamper(slice: &mut ShardSlice, tamper: u8) {
     match tamper {
         TAMPER_FLIP_RECORD => {
-            if let Some(last) = slice.records.first_mut().and_then(|r| r.last_mut()) {
+            if let Some(last) = slice.records.get_mut(0).and_then(|r| r.last_mut()) {
                 *last ^= 0x01;
             }
         }
         TAMPER_DROP_RECORD if !slice.records.is_empty() => {
-            slice.records.remove(0);
+            slice.records = slice.records.iter().skip(1).collect();
         }
         TAMPER_FLIP_TOKEN => {
             slice.vt.0[0] ^= 0x01;

@@ -227,6 +227,38 @@ proptest! {
         prop_assert!(wrong_version);
     }
 
+    /// A SLICE's records travel as one block: the frame carries the
+    /// encoded records back to back after the 42-byte header, and the
+    /// decoded block holds exactly those bytes, record for record.
+    #[test]
+    fn a_decoded_slice_block_is_the_encoded_records_byte_for_byte(
+        record_len in 1usize..600,
+        seeds in prop::collection::vec(any::<u8>(), 0..40),
+    ) {
+        let records: Vec<Vec<u8>> = seeds
+            .iter()
+            .enumerate()
+            .map(|(i, &seed)| (0..record_len).map(|b| seed ^ (i + b) as u8).collect())
+            .collect();
+        let msg = Message::Slice {
+            shard: 1,
+            record_len: record_len as u32,
+            epoch: 7,
+            records: records.iter().collect(),
+            vt: Digest::ZERO,
+        };
+        let frame = encode_frame(&msg);
+        let (decoded, _) = decode_frame(&frame).expect("own frames decode");
+        let Message::Slice { records: block, .. } = decoded else {
+            panic!("a SLICE decoded as another message");
+        };
+        prop_assert_eq!(block.as_bytes(), &frame[8 + 42..]);
+        let concatenated = records.concat();
+        prop_assert_eq!(block.as_bytes(), concatenated.as_slice());
+        prop_assert_eq!(block.len(), records.len());
+        prop_assert!(block.iter().eq(records.iter().map(Vec::as_slice)));
+    }
+
     #[test]
     fn arbitrary_garbage_never_panics(bytes in prop::collection::vec(any::<u8>(), 0..64)) {
         if let Ok((_, consumed)) = decode_frame(&bytes) {

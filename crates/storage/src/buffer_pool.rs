@@ -7,6 +7,16 @@
 //! charged node accesses (identical with or without the cache) and real I/O
 //! work (reduced by the cache), and lets the ablation experiments show both.
 //!
+//! ## Reads in place
+//!
+//! [`PageStore::read`] hands back a copy of the page. [`PageStore::read_with`]
+//! instead runs a closure on the resident page under the pool mutex, so a
+//! caller that needs a few hundred bytes of a hit — the heap's run of
+//! records — copies just those, with no 4 KiB clone and no allocation. Both
+//! go through one private path, so they charge the same logical read, hit
+//! or miss, recency update and eviction. The closure must not call into any
+//! page store (`docs/invariants.md`, R1).
+//!
 //! ## Victims without a scan
 //!
 //! Every use of a resident page takes a fresh, unique tick, stored with the
@@ -130,21 +140,24 @@ impl CacheState {
     }
 
     /// Marks page `id`, if resident, as used now — and dirty, if `write` —
-    /// and hands its cached page to `use_page`. One map lookup.
-    fn touch<R>(
+    /// and hands its cached page to `use_page`. One map lookup. A page that
+    /// is not resident gets `use_page` back, unused.
+    fn touch<R, F: FnOnce(&mut Page) -> R>(
         &mut self,
         id: u64,
         write: bool,
-        use_page: impl FnOnce(&mut Page) -> R,
-    ) -> Option<R> {
-        let entry = self.entries.get_mut(&id)?;
+        use_page: F,
+    ) -> Result<R, F> {
+        let Some(entry) = self.entries.get_mut(&id) else {
+            return Err(use_page);
+        };
         self.tick += 1;
         entry.tick = self.tick;
         entry.dirty |= write;
         let out = use_page(&mut entry.page);
         let (tick, dirty) = (entry.tick, entry.dirty);
         self.enqueue(tick, id, dirty);
-        Some(out)
+        Ok(out)
     }
 
     /// Makes `page` resident as the most recently used page.
@@ -324,6 +337,28 @@ impl CachedPager {
         Ok(pages)
     }
 
+    /// Runs `f` on page `id` — the resident copy on a hit, under the pool
+    /// mutex, or the page just read from the backing store on a miss — and
+    /// charges one logical read and its hit or miss. [`PageStore::read`]
+    /// and [`PageStore::read_with`] both come here, so they charge the same.
+    fn with_page<R>(&self, id: PageId, f: impl FnOnce(&Page) -> R) -> StorageResult<R> {
+        self.stats.record_node_read();
+        let mut state = self.cache_state.lock();
+        let use_page = match state.touch(id.0, false, |cached: &mut Page| f(cached)) {
+            Ok(out) => {
+                self.stats.record_cache_hit();
+                return Ok(out);
+            }
+            Err(use_page) => use_page,
+        };
+        self.stats.record_cache_miss();
+        let mut page = self.inner.read(id)?;
+        self.evict_if_full(&mut state)?;
+        let out = use_page(&mut page);
+        state.insert(id.0, page, false);
+        Ok(out)
+    }
+
     fn evict_if_full(&self, state: &mut CacheState) -> StorageResult<()> {
         let no_steal = self.no_steal.load(Ordering::Relaxed);
         while state.entries.len() >= self.capacity {
@@ -349,24 +384,18 @@ impl PageStore for CachedPager {
     }
 
     fn read(&self, id: PageId) -> StorageResult<Page> {
-        self.stats.record_node_read();
-        let mut state = self.cache_state.lock();
-        if let Some(page) = state.touch(id.0, false, |cached| cached.clone()) {
-            self.stats.record_cache_hit();
-            return Ok(page);
-        }
-        self.stats.record_cache_miss();
-        let page = self.inner.read(id)?;
-        self.evict_if_full(&mut state)?;
-        state.insert(id.0, page.clone(), false);
-        Ok(page)
+        self.with_page(id, Page::clone)
+    }
+
+    fn read_with(&self, id: PageId, f: &mut dyn FnMut(&Page)) -> StorageResult<()> {
+        self.with_page(id, f)
     }
 
     fn write(&self, id: PageId, page: &Page) -> StorageResult<()> {
         self.stats.record_node_write();
         let mut state = self.cache_state.lock();
         let copy = |cached: &mut Page| cached.as_mut_slice().copy_from_slice(page.as_slice());
-        if state.touch(id.0, true, copy).is_some() {
+        if state.touch(id.0, true, copy).is_ok() {
             self.stats.record_cache_hit();
             state.write_set.insert(id.0);
             return Ok(());
@@ -657,12 +686,12 @@ mod tests {
         }
     }
 
-    /// Seeded differential run: random reads, writes, flushes and write-set
-    /// drains against the pool and the scan oracle, in steal and no-steal
-    /// mode at capacities 1, 2 and 8. After every step the resident set
-    /// (hence every eviction), the hit and miss counts and the sequence of
-    /// backing-store writes must match, and every read returns the last
-    /// value written.
+    /// Seeded differential run: random reads (half of them through
+    /// `read_with`), writes, flushes and write-set drains against the pool
+    /// and the scan oracle, in steal and no-steal mode at capacities 1, 2
+    /// and 8. After every step the resident set (hence every eviction), the
+    /// hit and miss counts and the sequence of backing-store writes must
+    /// match, and every read returns the last value written.
     #[test]
     fn recency_queues_evict_exactly_what_the_tick_scan_evicts() {
         const PAGES: u64 = 12;
@@ -696,9 +725,21 @@ mod tests {
                         let ctx =
                             format!("no_steal={no_steal} cap={capacity} run={run} step={step}");
                         match op {
-                            0..=8 => {
+                            // Every other read goes through `read_with`,
+                            // which the oracle charges as a plain read.
+                            0..=8 if step % 2 == 0 => {
                                 let page = cache.read(PageId(id)).unwrap();
                                 assert_eq!(page.read_u64(0), contents[id as usize], "{ctx}");
+                                oracle.read(id);
+                            }
+                            0..=8 => {
+                                let mut seen = None;
+                                cache
+                                    .read_with(PageId(id), &mut |page| {
+                                        seen = Some(page.read_u64(0))
+                                    })
+                                    .unwrap();
+                                assert_eq!(seen, Some(contents[id as usize]), "{ctx}");
                                 oracle.read(id);
                             }
                             9..=16 => {
@@ -738,6 +779,42 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// `read_with` charges exactly what `read` charges, on the pool and on
+    /// its backing store: the same sequence of page ids, once through each,
+    /// leaves identical counters.
+    #[test]
+    fn read_with_charges_what_read_charges() {
+        let drive = |through_closure: bool| {
+            let (inner, cache) = make(3);
+            let ids: Vec<PageId> = (0..6).map(|_| cache.allocate().unwrap()).collect();
+            for (i, &id) in ids.iter().enumerate() {
+                let mut page = Page::new();
+                page.write_u64(0, i as u64);
+                inner.write(id, &page).unwrap();
+            }
+            for &i in &[0usize, 1, 0, 2, 3, 0, 4, 5, 1, 1, 2, 0] {
+                let got = if through_closure {
+                    let mut seen = None;
+                    cache
+                        .read_with(ids[i], &mut |page| seen = Some(page.read_u64(0)))
+                        .unwrap();
+                    seen.unwrap()
+                } else {
+                    cache.read(ids[i]).unwrap().read_u64(0)
+                };
+                assert_eq!(got, i as u64);
+            }
+            assert!(cache.read_with(PageId(99), &mut |_| {}).is_err());
+            (cache.stats().snapshot(), inner.stats().snapshot())
+        };
+        let (pool, backing) = drive(true);
+        assert_eq!((pool, backing), drive(false));
+        // Twelve reads and the failed one; capacity 3 makes three hits.
+        assert_eq!(pool.node_reads, 13);
+        assert_eq!((pool.cache_hits, pool.cache_misses), (3, 10));
+        assert_eq!(backing.physical_reads, 9);
     }
 
     #[test]

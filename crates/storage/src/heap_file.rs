@@ -10,6 +10,7 @@
 use crate::error::{StorageError, StorageResult};
 use crate::page::{PageId, PAGE_SIZE};
 use crate::pager::SharedPageStore;
+use crate::record_block::RecordBlock;
 
 /// Identifier of a record inside a [`HeapFile`] (dense, 0-based).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -252,36 +253,69 @@ impl HeapFile {
 
     /// Reads a contiguous run of records `[start, start + count)`, touching
     /// each underlying page only once. This models the sequential scan of the
-    /// dataset file the SP performs to return the query result.
+    /// dataset file the SP performs to return the query result. Each record
+    /// comes back in its own `Vec`; [`HeapFile::read_range_into`] reads the
+    /// same records into one block instead.
     pub fn get_range(&self, start: RecordId, count: u64) -> StorageResult<Vec<Vec<u8>>> {
-        if count == 0 {
-            return Ok(Vec::new());
-        }
-        let end = start.0 + count;
-        if end > self.record_count {
-            return Err(StorageError::RecordOutOfBounds {
-                record_id: end - 1,
-                record_count: self.record_count,
-            });
-        }
-        let mut out = Vec::with_capacity(count as usize);
-        let mut current_page_idx = usize::MAX;
-        let mut current_page = None;
-        for rid in start.0..end {
-            let slot = (rid % self.records_per_page as u64) as usize;
-            let page_idx = (rid / self.records_per_page as u64) as usize;
-            if page_idx != current_page_idx {
-                current_page = Some(self.store.read(self.pages[page_idx])?);
-                current_page_idx = page_idx;
-            }
-            // analyzer:allow(no-unwrap-in-lib, the branch above loads the page whenever the index changes, and it always changes on the first iteration)
-            let page = current_page.as_ref().expect("page loaded above");
-            out.push(
-                page.read_bytes(slot * self.record_len, self.record_len)
-                    .to_vec(),
-            );
-        }
+        let range = self.checked_range(start, count)?;
+        let mut out = Vec::with_capacity((range.end - range.start) as usize);
+        self.for_each_page_run(range, |run| {
+            out.extend(run.chunks_exact(self.record_len).map(<[u8]>::to_vec));
+        })?;
         Ok(out)
+    }
+
+    /// Appends the records `[start, start + count)` to `out`. Each page is
+    /// read once, in place ([`crate::PageStore::read_with`]), and its run of
+    /// records is copied into the block with one `extend_from_slice`: no
+    /// page is cloned and nothing is allocated per record.
+    pub fn read_range_into(
+        &self,
+        start: RecordId,
+        count: u64,
+        out: &mut RecordBlock,
+    ) -> StorageResult<()> {
+        let range = self.checked_range(start, count)?;
+        self.for_each_page_run(range, |run| out.extend_uniform(run, self.record_len))
+    }
+
+    /// `[start, start + count)` as record positions, or
+    /// [`StorageError::RecordOutOfBounds`] when it reaches past the last
+    /// record — including when `start + count` overflows.
+    fn checked_range(&self, start: RecordId, count: u64) -> StorageResult<std::ops::Range<u64>> {
+        if count == 0 {
+            return Ok(start.0..start.0);
+        }
+        match start.0.checked_add(count) {
+            Some(end) if end <= self.record_count => Ok(start.0..end),
+            _ => Err(StorageError::RecordOutOfBounds {
+                record_id: start.0.saturating_add(count - 1),
+                record_count: self.record_count,
+            }),
+        }
+    }
+
+    /// Calls `visit` once per page `range` touches, in order, on the bytes
+    /// of the range's records on that page, read in place.
+    fn for_each_page_run(
+        &self,
+        range: std::ops::Range<u64>,
+        mut visit: impl FnMut(&[u8]),
+    ) -> StorageResult<()> {
+        let per_page = self.records_per_page as u64;
+        let mut rid = range.start;
+        while rid < range.end {
+            let slot = rid % per_page;
+            let run = (range.end - rid).min(per_page - slot);
+            let offset = slot as usize * self.record_len;
+            let len = run as usize * self.record_len;
+            self.store
+                .read_with(self.pages[(rid / per_page) as usize], &mut |page| {
+                    visit(page.read_bytes(offset, len))
+                })?;
+            rid += run;
+        }
+        Ok(())
     }
 
     /// Iterates over all records (used by the data owner when shipping the
@@ -392,6 +426,51 @@ mod tests {
         }
         assert!(heap.get_range(RecordId(20), 20).is_err());
         assert!(heap.get_range(RecordId(0), 0).unwrap().is_empty());
+    }
+
+    #[test]
+    fn read_range_into_packs_the_same_records_as_get_range() {
+        let mut heap = new_heap(500);
+        for i in 0..30u8 {
+            heap.append(&record(500, i)).unwrap();
+        }
+        let mut block = RecordBlock::new();
+        block.push([7u8]);
+        heap.read_range_into(RecordId(5), 20, &mut block).unwrap();
+        heap.read_range_into(RecordId(29), 0, &mut block).unwrap();
+        assert_eq!(block.len(), 21);
+        assert_eq!(block.first(), Some(&[7u8][..]));
+        let rows = heap.get_range(RecordId(5), 20).unwrap();
+        assert!(block.iter().skip(1).eq(rows.iter().map(Vec::as_slice)));
+        assert!(heap.read_range_into(RecordId(20), 20, &mut block).is_err());
+        assert_eq!(block.len(), 21);
+    }
+
+    /// `start + count` past `u64::MAX` is a typed out-of-bounds error, not
+    /// an overflow panic (debug) or a wrapped bound that passes the check
+    /// and then asks for an impossible capacity (release).
+    #[test]
+    fn an_overflowing_range_is_out_of_bounds() {
+        let mut heap = new_heap(64);
+        for i in 0..3u8 {
+            heap.append(&record(64, i)).unwrap();
+        }
+        for start in [0, 2, 3, u64::MAX] {
+            assert!(
+                matches!(
+                    heap.get_range(RecordId(start), u64::MAX),
+                    Err(StorageError::RecordOutOfBounds {
+                        record_count: 3,
+                        ..
+                    })
+                ),
+                "start {start}"
+            );
+            assert!(matches!(
+                heap.read_range_into(RecordId(start), u64::MAX, &mut RecordBlock::new()),
+                Err(StorageError::RecordOutOfBounds { .. })
+            ));
+        }
     }
 
     #[test]

@@ -45,6 +45,7 @@ pub mod heap_file;
 pub mod manifest;
 pub mod page;
 pub mod pager;
+pub mod record_block;
 pub mod stats;
 pub mod wal;
 
@@ -58,5 +59,6 @@ pub use manifest::{
 };
 pub use page::{Page, PageId, PAGE_SIZE};
 pub use pager::{FilePager, MemPager, PageStore, SharedPageStore};
+pub use record_block::RecordBlock;
 pub use stats::{CostModel, IoSnapshot, IoStats};
 pub use wal::{encode_records, scan_log, WalRecord, WalSegment, WalTx, WalWriter};

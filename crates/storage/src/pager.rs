@@ -36,6 +36,16 @@ pub trait PageStore: Send + Sync {
     /// Reads the page with the given id.
     fn read(&self, id: PageId) -> StorageResult<Page>;
 
+    /// Runs `f` on the page with the given id, charging exactly what
+    /// [`PageStore::read`] charges. A store that holds the page in memory
+    /// runs `f` on it in place, so a caller that needs only some of the
+    /// page's bytes copies just those, and no page is cloned. `f` may run
+    /// under the store's lock: it must not call into any page store.
+    fn read_with(&self, id: PageId, f: &mut dyn FnMut(&Page)) -> StorageResult<()> {
+        f(&self.read(id)?);
+        Ok(())
+    }
+
     /// Writes the page with the given id.
     fn write(&self, id: PageId, page: &Page) -> StorageResult<()>;
 
@@ -83,6 +93,24 @@ impl MemPager {
     pub fn new_shared() -> SharedPageStore {
         Arc::new(Self::new())
     }
+
+    /// Runs `f` on page `id` under the page lock and charges one read.
+    fn with_page<R>(&self, id: PageId, f: impl FnOnce(&Page) -> R) -> StorageResult<R> {
+        // Only successful accesses are charged, so the cost-model numbers
+        // stay identical across backends for identical access sequences
+        // (FilePager applies the same rule).
+        let pages = self.pages.lock();
+        let page = pages
+            .get(id.0 as usize)
+            .ok_or(StorageError::PageOutOfBounds {
+                page_id: id.0,
+                page_count: pages.len() as u64,
+            })?;
+        let out = f(page);
+        self.stats.record_node_read();
+        self.stats.record_physical_read();
+        Ok(out)
+    }
 }
 
 impl PageStore for MemPager {
@@ -93,20 +121,11 @@ impl PageStore for MemPager {
     }
 
     fn read(&self, id: PageId) -> StorageResult<Page> {
-        // Only successful accesses are charged, so the cost-model numbers
-        // stay identical across backends for identical access sequences
-        // (FilePager applies the same rule).
-        let pages = self.pages.lock();
-        let page = pages
-            .get(id.0 as usize)
-            .cloned()
-            .ok_or(StorageError::PageOutOfBounds {
-                page_id: id.0,
-                page_count: pages.len() as u64,
-            })?;
-        self.stats.record_node_read();
-        self.stats.record_physical_read();
-        Ok(page)
+        self.with_page(id, Page::clone)
+    }
+
+    fn read_with(&self, id: PageId, f: &mut dyn FnMut(&Page)) -> StorageResult<()> {
+        self.with_page(id, f)
     }
 
     fn write(&self, id: PageId, page: &Page) -> StorageResult<()> {
@@ -431,21 +450,28 @@ mod tests {
             store.write(a, &page).unwrap();
             store.read(a).unwrap();
             store.read(b).unwrap();
+            let mut seen = None;
+            store
+                .read_with(a, &mut |page| seen = Some(page.read_u64(0)))
+                .unwrap();
+            assert_eq!(seen, Some(7));
             store.sync().unwrap();
             // Failed accesses must not be charged on either backend.
             assert!(store.read(PageId(77)).is_err());
+            assert!(store.read_with(PageId(77), &mut |_| {}).is_err());
             assert!(store.write(PageId(77), &page).is_err());
             store.stats().snapshot()
         };
         let mem_snap = drive(&mem);
         let file_snap = drive(&file);
         assert_eq!(mem_snap, file_snap);
-        assert_eq!(mem_snap.node_reads, 2);
+        assert_eq!(mem_snap.node_reads, 3);
+        assert_eq!(mem_snap.physical_reads, 3);
         assert_eq!(mem_snap.node_writes, 1);
         // The durability barrier is counted identically on both backends
         // (the in-memory one as a no-op) and is not a node access.
         assert_eq!(mem_snap.syncs, 1);
-        assert_eq!(mem_snap.node_accesses(), 3);
+        assert_eq!(mem_snap.node_accesses(), 4);
     }
 
     /// A truncated pager file is *corruption*, not a generic I/O error: the

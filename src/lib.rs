@@ -71,7 +71,8 @@ pub mod prelude {
         ShardServerConfig,
     };
     pub use sae_storage::{
-        CostModel, FilePager, HeapFile, IoStats, MemPager, PageStore, SharedPageStore, PAGE_SIZE,
+        CostModel, FilePager, HeapFile, IoStats, MemPager, PageStore, RecordBlock, SharedPageStore,
+        PAGE_SIZE,
     };
     pub use sae_workload::{
         Dataset, DatasetSpec, KeyDistribution, QueryMix, QueryWorkload, RangeQuery, Record, TeTuple,

@@ -102,7 +102,10 @@ fn a_linear_forgery_passes_the_xor_fold_but_not_the_vo() {
         let forgery = TamperStrategy::LinearForgery { alg: ALG };
         let forged = sae.query_with_tamper(&q, forgery, 3).unwrap();
         let honest = sae.query(&q).unwrap();
-        assert!(forged.records.iter().all(|r| !honest.records.contains(r)));
+        assert!(forged
+            .records
+            .iter()
+            .all(|r| !honest.records.iter().any(|h| h == r)));
         assert!(forged.metrics.verified, "SAE rejected the forgery on {q}");
         let tom_forged = tom.query_with_tamper(&q, forgery, 3).unwrap();
         assert!(
@@ -110,6 +113,62 @@ fn a_linear_forgery_passes_the_xor_fold_but_not_the_vo() {
             "TOM accepted the forgery on {q}"
         );
     }
+}
+
+/// A block whose records are each one byte short of the published length
+/// is refused as `WrongRecordLength`, even with a token folded over exactly
+/// those short records — in the single-pair client and in the stitched
+/// scatter-gather check, and whether every record or only one is short.
+#[test]
+fn a_block_of_records_one_byte_short_is_a_wrong_record_length() {
+    let ds = dataset(4_000, KeyDistribution::unf(), 12);
+    let keys = ds.sorted_keys();
+    let q = RangeQuery::new(keys[1_000], keys[1_039]);
+    // Every record one byte short (`None`), or only record `Some(i)`.
+    let short = |records: &RecordBlock, only: Option<usize>| -> RecordBlock {
+        records
+            .iter()
+            .enumerate()
+            .map(|(i, r)| match only {
+                Some(j) if j != i => r,
+                _ => &r[..r.len() - 1],
+            })
+            .collect()
+    };
+    let folded = |records: &RecordBlock| {
+        records
+            .iter()
+            .fold(Digest::ZERO, |acc, r| acc ^ ALG.hash(r))
+    };
+    let wrong = SaeVerifyError::WrongRecordLength {
+        expected: 500,
+        actual: 499,
+    };
+
+    let system = SaeSystem::build_in_memory(&ds, ALG).unwrap();
+    let honest = system.query(&q).unwrap();
+    let n = honest.records.len();
+    assert!(n >= 40, "{n} records");
+    let client = SaeClient::with_record_len(ALG, 500);
+    for only in [None, Some(0), Some(17), Some(n - 1)] {
+        let records = short(&honest.records, only);
+        let (verdict, _) = client.verify_detailed(&q, &records, &folded(&records));
+        assert_eq!(verdict, Err(wrong.clone()), "{only:?}");
+    }
+
+    let engine = ShardedSaeEngine::build_in_memory(&ds, ALG, 2).unwrap();
+    let mut slices = engine.scatter(&q).unwrap();
+    assert_eq!(slices.len(), 1);
+    slices[0].records = short(&slices[0].records, None);
+    slices[0].vt = folded(&slices[0].records);
+    let (verdict, _) = engine.verify_scatter(&q, &slices);
+    assert_eq!(
+        verdict,
+        Err(ShardedVerifyError::Slice {
+            shard: slices[0].shard,
+            error: wrong
+        })
+    );
 }
 
 #[test]

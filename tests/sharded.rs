@@ -79,11 +79,7 @@ fn sharded_scatter_gather_matches_the_oracle_on_every_layout() {
             let sharded = engine.query(q).unwrap();
             assert!(sharded.verdict.is_ok(), "{shards} shards, {q}");
             let flat = oracle.query(q).unwrap();
-            let stitched: Vec<Vec<u8>> = sharded
-                .slices
-                .iter()
-                .flat_map(|s| s.records.iter().cloned())
-                .collect();
+            let stitched: RecordBlock = sharded.slices.iter().flat_map(|s| &s.records).collect();
             assert_eq!(stitched, flat.records, "{shards} shards, {q}");
             // One 20-byte token per responding shard.
             assert_eq!(sharded.metrics.auth_bytes, 20 * sharded.slices.len() as u64);
